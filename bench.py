@@ -98,9 +98,8 @@ def _bench_once(sf_dir: str, num_cpus: int) -> dict:
         for _ in range(n_runs):
             kg.evict(
                 sf_dir, "combined", "mentions", "triples", "linked",
-                "tagged", "canon", "edges", "nodes",
+                "tagged", "labels", "canon", "rewritten", "edges", "nodes",
             )
-            kg._LABELS_CACHE.pop(sf_dir, None)
             queries: dict[str, float] = {}
             t_all0 = time.perf_counter()
             # kg.stage caches upstream stages per process, so each timing

@@ -77,7 +77,21 @@ def normalize_surface_array(arr):
     matches the DuckDB oracle's ``lower()``. Grouping only requires the
     SAME normalization on every path, which stages/canonical.py and
     stages/fused.py guarantee by both calling this function.
+
+    NFC runs through :mod:`unicodedata` on the non-ASCII rows only (ASCII
+    is already NFC): pyarrow 16's ``utf8_normalize`` returns the
+    DECOMPOSED form for ``form="NFC"`` ("é" → "e" + U+0301), which would
+    never match an NFC alias key.
     """
+    import pyarrow as pa
     import pyarrow.compute as pc
 
-    return pc.utf8_lower(pc.utf8_normalize(arr, form="NFC"))
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    non_ascii = pc.invert(pc.fill_null(pc.string_is_ascii(arr), True))
+    if pc.any(non_ascii).as_py():
+        composed = [
+            unicodedata.normalize("NFC", s) for s in arr.filter(non_ascii).to_pylist()
+        ]
+        arr = pc.replace_with_mask(arr, non_ascii, pa.array(composed, arr.type))
+    return pc.utf8_lower(arr)

@@ -3,6 +3,11 @@
 T0 transcripts → A1 scorer (actor pool) → T1 mentions + T2 triples
 → A2 linking → CC canonicalization → graph materialize (T5/T6).
 
+The building blocks live here and in stages/; the pipeline itself is
+wired once, as the stage list ``pipelines/run.py::kg_stages``, which
+:func:`stage` materializes per sf_dir and the checkpointed job runs
+through its Checkpointer.
+
 All functions build LAZY ``ray.data.Dataset`` pipelines; nothing here calls
 ``ray.init()`` (driver/bench/tests own the session, SURVEY.md §3.3).
 """
@@ -21,11 +26,8 @@ from ..sources.transcripts import read_transcripts
 from ..stages.linker import (  # shared actor-pool sizing rule
     default_pool_size as default_scorer_concurrency,  # noqa: F401
 )
-from ..stages.scorer import (
-    COMBINED,
-    TripleScorer,
-    gazetteer_from_alias_table,
-)
+from ..stages.scorer import TripleScorer, gazetteer_from_alias_table
+from .stage import check_output_schema
 
 
 def broadcast(obj):
@@ -131,12 +133,12 @@ def load_aliases(sf_dir: str) -> pa.Table:
     return pq.read_table(corpus_for_sf_dir(sf_dir) / "aliases.parquet")
 
 
-def extract_for_sf_dir(sf_dir: str, **kw) -> ray.data.Dataset:
+def extract_for_sf_dir(sf_dir: str) -> ray.data.Dataset:
     """Convenience: sf testdata dir → combined extraction Dataset over the
     deterministic synthetic corpus paired with that scale factor."""
     corpus = corpus_for_sf_dir(sf_dir)
     ds = read_transcripts(str(corpus / "transcripts"))
-    return extract_combined(ds, load_aliases(sf_dir), **kw)
+    return extract_combined(ds, load_aliases(sf_dir))
 
 
 def load_entity_names(sf_dir: str) -> dict[str, str]:
@@ -147,15 +149,12 @@ def load_entity_names(sf_dir: str) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline with per-stage caching (one materialization per stage per
-# sf_dir per process — stage boundaries are parquet checkpoints in the
-# resumable variant, see state.checkpoint)
+# The stage list run in memory, one materialization per stage per sf_dir
+# per process (stage boundaries are parquet checkpoints in the resumable
+# variant, see pipelines/run.py)
 # ---------------------------------------------------------------------------
 
 _STAGE_CACHE: dict[tuple[str, str], ray.data.Dataset] = {}
-
-
-_LABELS_CACHE: dict[str, object] = {}
 
 
 def evict(sf_dir: str, *names: str) -> None:
@@ -166,67 +165,31 @@ def evict(sf_dir: str, *names: str) -> None:
         _STAGE_CACHE.pop((sf_dir, n), None)
 
 
-def _labels(sf_dir: str):
-    from ..stages import fused
+def stage(sf_dir: str, name: str) -> ray.data.Dataset:
+    """Materialized output of stage ``name`` of ``kg_stages`` over the
+    synthetic corpus paired with ``sf_dir``, computed once per process
+    (with whatever upstream stages it needs).
 
-    if sf_dir not in _LABELS_CACHE:
-        _LABELS_CACHE[sf_dir] = fused.entity_labels(stage(sf_dir, "tagged"))
-    return _LABELS_CACHE[sf_dir]
-
-
-def stage(sf_dir: str, name: str, **kw) -> ray.data.Dataset:
-    """Materialized stage output for `sf_dir`, computed once per process.
-
-    Stages: combined | mentions | triples | linked | tagged | canon |
-    edges | nodes | rewritten. The flagship flow is the FUSED dataflow
-    (stages/fused.py): `tagged` is the single conv-bucketed shuffle that
-    canon/edges/nodes all derive from; the modular join-based stages
-    (stages/graph.py rewrite_triples/build_nodes) remain for the
-    checkpointed runner and are equivalence-tested against this path.
+    Stages: combined | mentions | triples | linked | tagged | labels |
+    canon | rewritten | edges | nodes.
     """
     key = (sf_dir, name)
     if key in _STAGE_CACHE:
         return _STAGE_CACHE[key]
+    from .run import kg_stages
 
-    from ..stages import fused
-    from ..stages.graph import build_edges, node_rollup
-    from ..stages.linker import link_mentions
-
-    if name == "combined":
-        ds = extract_for_sf_dir(sf_dir, **kw).materialize()
-    elif name == "mentions":
-        ds = mentions_of(stage(sf_dir, "combined")).materialize()
-    elif name == "triples":
-        ds = triples_of(stage(sf_dir, "combined")).materialize()
-    elif name == "linked":
-        ds = link_mentions(
-            stage(sf_dir, "mentions"), load_aliases(sf_dir), **kw
-        ).materialize()
-    elif name == "tagged":
-        ds = fused.build_tagged(
-            stage(sf_dir, "linked"), stage(sf_dir, "triples"), **kw
-        ).materialize()
-    elif name == "canon":
-        ds = fused.canon_from_tagged(
-            stage(sf_dir, "tagged"), _labels(sf_dir)
-        ).materialize()
-    elif name == "edges":
-        rewritten = fused.rewritten_from_tagged(
-            stage(sf_dir, "tagged"), _labels(sf_dir)
-        )
-        ds = build_edges(rewritten, **kw).materialize()
-    elif name == "rewritten":
-        ds = fused.rewritten_from_tagged(
-            stage(sf_dir, "tagged"), _labels(sf_dir)
-        ).materialize()
-    elif name == "nodes":
-        ds = node_rollup(
-            fused.node_rows_from_tagged(stage(sf_dir, "tagged"), _labels(sf_dir)),
-            load_entity_names(sf_dir),
-            **kw,
-        ).materialize()
-    else:
+    corpus = corpus_for_sf_dir(sf_dir)
+    stages = kg_stages(
+        str(corpus / "transcripts"),
+        str(corpus / "aliases.parquet"),
+        str(corpus / "entities.parquet"),
+    )
+    st = next((s for s in stages if s.name == name), None)
+    if st is None:
         raise ValueError(f"unknown stage {name!r}")
+    ds = st.apply({d: stage(sf_dir, d) for d in st.deps}, {}).materialize()
+    if st.output_schema is not None:
+        check_output_schema(ds, st.output_schema, name)
     _STAGE_CACHE[key] = ds
     return ds
 

@@ -6,8 +6,10 @@ without recomputing upstream").
         --transcripts /data/transcripts --aliases /data/aliases.parquet \
         --entities /data/entities.parquet --out /data/kg_out
 
-Every stage boundary is a parquet checkpoint with a lineage fingerprint
-(state/checkpoint.py); rerunning with the same inputs skips straight to
+The job runs :func:`kg_stages`, the one definition of the KG pipeline
+(``kg.stage`` runs the same list in memory). Every stage boundary is a
+parquet checkpoint with a lineage fingerprint (state/checkpoint.py);
+rerunning with the same inputs skips straight to
 the first stale stage. Owns its Ray session only under ``__main__`` —
 :func:`run_checkpointed` itself never calls ``ray.init``.
 """
@@ -101,12 +103,18 @@ def kg_stages(
     concurrency: int | None = None,
     num_salts: int = 16,
 ) -> list[Stage]:
-    """The default checkpointed KG pipeline AS DATA — a list of Stages.
-    Swap any entry (e.g. a custom scorer subclassing CombinedStage) and
-    feed the list to :func:`run_pipeline`."""
+    """THE KG pipeline as data — the only place its stages are wired.
+    :func:`run_checkpointed` runs the list through the Checkpointer and
+    ``kg.stage`` materializes it stage by stage. Swap any entry (e.g. a
+    custom scorer subclassing CombinedStage) and feed the list to
+    :func:`run_pipeline`.
+
+    combined → mentions, triples → linked → tagged (the one conv-bucketed
+    shuffle, stages/fused.py) → labels (CC over the entity-merge edges,
+    run once) → canon, rewritten → edges, nodes."""
     from ..schema import CANON, LINKED, MENTIONS, TRIPLES
-    from ..stages.canonical import canonicalize
-    from ..stages.graph import build_edges, build_nodes, rewrite_triples
+    from ..stages import fused
+    from ..stages.graph import build_edges, node_rollup
     from ..stages.linker import link_mentions
 
     aliases = pq.read_table(aliases_path)
@@ -121,6 +129,9 @@ def kg_stages(
     src_sigs = {f: parquet_sig(f) for f in src_files}
     alias_sig = parquet_sig(aliases_path)
     entities_sig = parquet_sig(entities_path)
+
+    def _with_labels(fn):
+        return lambda u: fn(u["tagged"], fused.label_mapping(u["labels"]))
 
     return [
         CombinedStage(
@@ -143,18 +154,35 @@ def kg_stages(
             output_schema=LINKED,
         ),
         _FnStage(
-            "canon", ["linked"],
-            lambda u: canonicalize(u["linked"], num_salts=num_salts),
+            "tagged", ["linked", "triples"],
+            lambda u: fused.build_tagged(u["linked"], u["triples"]),
+            output_schema=fused.TAGGED,
+        ),
+        _FnStage(
+            "labels", ["tagged"],
+            lambda u: fused.cc_labels(u["tagged"], num_salts=num_salts),
             params={"num_salts": num_salts},
+            output_schema=fused.LABELS,
+        ),
+        _FnStage(
+            "canon", ["tagged", "labels"],
+            _with_labels(fused.canon_from_tagged),
             output_schema=CANON,
         ),
         _FnStage(
-            "edges", ["triples", "canon"],
-            lambda u: build_edges(rewrite_triples(u["triples"], u["canon"])),
+            "rewritten", ["tagged", "labels"],
+            _with_labels(fused.rewritten_from_tagged),
+            output_schema=fused.REWRITTEN,
         ),
         _FnStage(
-            "nodes", ["linked", "canon"],
-            lambda u: build_nodes(u["linked"], u["canon"], entity_names),
+            "edges", ["rewritten"],
+            lambda u: build_edges(u["rewritten"]),
+        ),
+        _FnStage(
+            "nodes", ["tagged", "labels"],
+            lambda u: node_rollup(
+                _with_labels(fused.node_rows_from_tagged)(u), entity_names
+            ),
             params={"entities": entities_sig},
         ),
     ]

@@ -122,6 +122,7 @@ def run_pipeline(
                 params=st.params(ctx),
                 part_params=lambda k, st=st: st.shard_params(k, ctx),
                 deps=list(st.deps),
+                schema=st.output_schema,
             )
         else:
             ds = checkpointer.run(
@@ -129,6 +130,7 @@ def run_pipeline(
                 lambda st=st, ups=ups: st.apply(ups, ctx),
                 params=st.params(ctx),
                 deps=list(st.deps),
+                schema=st.output_schema,
             )
         if st.output_schema is not None:
             check_output_schema(ds, st.output_schema, st.name)

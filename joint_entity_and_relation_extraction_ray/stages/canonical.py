@@ -252,257 +252,6 @@ def connected_components(
     return labels
 
 
-def coref_edges(linked: ray.data.Dataset, *, num_salts: int = 16,
-                num_partitions: int | None = None) -> ray.data.Dataset:
-    """CC0: co-reference edge list from T3 LINKED.
-
-    - mention → linked entity (when a candidate exists), else a self-edge
-      (keeps unlinked singletons labeled);
-    - mention → representative (min mention_id) of its
-      (conv_id, casefolded surface) group — same-conversation co-reference
-      by identical surface, stitched globally via a salted groupby + join.
-    """
-    num_partitions = num_partitions or default_partitions()
-    linked = linked.materialize()  # branch point: feeds link_edges AND grp
-
-    def _link_edges(t: pa.Table) -> pa.Table:
-        men = pc.binary_join_element_wise(MEN_PREFIX, t["mention_id"], "")
-        ent = pc.binary_join_element_wise(ENT_PREFIX, t["cand_entity_id"], "")
-        dst = pc.coalesce(ent, men)  # unlinked → self-edge
-        return pa.table({"src": men, "dst": dst})
-
-    link_edges = linked.map_batches(
-        _link_edges, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def _grp(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            t["conv_id"].combine_chunks(),
-            normalize_surface_array(t["surface"].combine_chunks()),
-            "\x00",
-        )
-        men = pc.binary_join_element_wise(MEN_PREFIX, t["mention_id"], "")
-        return pa.table({"grp": key, "mention": men})
-
-    grp = linked.map_batches(
-        _grp, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # branch point: feeds the rep-aggregate AND the join
-    rep = _salted_min(grp, "grp", "mention", num_salts=num_salts).map_batches(
-        lambda t: t.rename_columns(["grp", "rep"]), batch_format="pyarrow"
-    )
-    stitched = join_auto(
-        grp, rep, on=("grp",), num_partitions=num_partitions
-    ).map_batches(
-        lambda t: pa.table({"src": t["mention"], "dst": t["rep"]}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return link_edges.union(stitched)
-
-
-def canonicalize(
-    linked: ray.data.Dataset,
-    *,
-    num_salts: int = 16,
-    num_partitions: int | None = None,
-    num_buckets: int = 64,
-    method: str = "contracted",
-    **cc_kwargs,
-) -> ray.data.Dataset:
-    """T3 LINKED → T4 CANON: mention_id → canonical_id.
-
-    ``method="contracted"`` (default): two-level contraction — mentions
-    collapse onto (conv_id, surface) group reps in ONE bucketed shuffle,
-    and the iterative salted CC runs on the ENTITY-MERGE graph only (the
-    rare groups whose mentions link ≥2 distinct catalog entities). Node
-    count of the iterative shuffle is O(entities in merge edges), not
-    O(mentions) — at 10^12 turns that is the difference between shuffling
-    ~10^12 rows per CC round and ~|catalog| once. Exactness argument in
-    :func:`_canonicalize_contracted`.
-
-    ``method="general"``: the full mention-graph CC (:func:`coref_edges` +
-    :func:`connected_components`) — no smallness assumption about which
-    nodes glue clusters; kept as the fallback for graphs with
-    mention↔mention edges beyond same-surface groups, and as the oracle
-    cross-check in tests.
-    """
-    if method == "contracted":
-        return _canonicalize_contracted(
-            linked,
-            num_salts=num_salts,
-            num_partitions=num_partitions,
-            num_buckets=num_buckets,
-            **cc_kwargs,
-        )
-    return _canonicalize_general(
-        linked,
-        num_salts=num_salts,
-        num_partitions=num_partitions,
-        **cc_kwargs,
-    )
-
-
-def _canonicalize_contracted(
-    linked: ray.data.Dataset,
-    *,
-    num_salts: int = 16,
-    num_partitions: int | None = None,
-    num_buckets: int = 64,
-    **cc_kwargs,
-) -> ray.data.Dataset:
-    """Contracted canonicalization (exact, two-level).
-
-    Pass 1 (one bucketed shuffle on the group key): for every
-    (conv_id, normalized surface) group compute rep = min(mention_id) and
-    min_ent = min(linked entity), and emit (min_ent, other_ent) MERGE
-    EDGES for the groups that link ≥ 2 distinct entities.
-
-    CC: the iterative salted hash-to-min loop (`connected_components`,
-    unchanged) over the merge-edge graph.
-
-    Pass 2: entity→canonical labels are broadcast; every mention maps to
-    ``labels.get(min_ent, min_ent)`` (or its rep when unlinked).
-
-    Exactness vs the mention-graph CC: within a component of the original
-    co-reference graph, every entity is reachable through shared groups,
-    so the merge edges connect exactly the entities of a component;
-    entity ids sort before mention ids in the original label order
-    ("e:" < "m:"), hence the component minimum is min-entity when any
-    entity exists (→ labels.get), else the minimum mention of the single
-    group (→ rep). Verified against `method="general"` and a pure-python
-    union-find oracle in tests/test_canonical.py.
-    """
-    import polars as pl
-
-    from ..functions.shuffle import bucket_group_apply
-
-    def _grp_rows(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            t["conv_id"].combine_chunks(),
-            normalize_surface_array(t["surface"].combine_chunks()),
-            "\x00",
-        )
-        return pa.table(
-            {
-                "grp": key,
-                "mention_id": t["mention_id"],
-                "entity": t["cand_entity_id"],
-            }
-        )
-
-    rows = linked.map_batches(
-        _grp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def _per_bucket(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        agg = df.group_by("grp").agg(
-            pl.col("mention_id").min().alias("rep"),
-            pl.col("entity").drop_nulls().min().alias("min_ent"),
-            pl.col("entity").drop_nulls().n_unique().alias("n_ent"),
-        )
-        out = df.join(agg, on="grp", how="left").select(
-            pl.lit("m").alias("kind"),
-            pl.col("mention_id").alias("a"),
-            pl.col("rep").alias("b"),
-            pl.col("min_ent").alias("c"),
-        )
-        multi = agg.filter(pl.col("n_ent") >= 2).select("grp", "min_ent")
-        if multi.height:
-            pairs = (
-                df.join(multi, on="grp", how="inner")
-                .filter(pl.col("entity").is_not_null())
-                .select("min_ent", "entity")
-                .unique()
-                .filter(pl.col("entity") != pl.col("min_ent"))
-                .select(
-                    pl.lit("p").alias("kind"),
-                    pl.col("min_ent").alias("a"),
-                    pl.col("entity").alias("b"),
-                    pl.lit(None, dtype=pl.String).alias("c"),
-                )
-            )
-            out = pl.concat([out, pairs])
-        return out.to_arrow().cast(
-            pa.schema(
-                [("kind", pa.string()), ("a", pa.string()),
-                 ("b", pa.string()), ("c", pa.string())]
-            )
-        )
-
-    tagged = bucket_group_apply(
-        rows, "grp", _per_bucket, num_buckets=num_buckets
-    ).materialize()
-
-    # CC over the (tiny) entity-merge graph with the salted iterative loop
-    merge_edges = tagged.map_batches(
-        lambda t: (
-            lambda f: pa.table({"src": f["a"], "dst": f["b"]})
-        )(t.filter(pc.equal(t["kind"], "p"))),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    ent_labels: dict[str, str] = {}
-    if merge_edges.count() > 0:
-        labels = connected_components(
-            merge_edges, num_salts=num_salts,
-            num_partitions=num_partitions or default_partitions(), **cc_kwargs
-        ).materialize()
-        from ..functions.joins import BROADCAST_THRESHOLD_ROWS
-
-        if labels.count() > BROADCAST_THRESHOLD_ROWS:
-            # catalog-scale label set: never collect to the driver — resolve
-            # through the co-bucketed label join (same fallback as
-            # fused.entity_labels; import at call time, fused imports us)
-            from .fused import _label_join
-
-            m_rows = tagged.map_batches(
-                lambda t: (
-                    lambda f: pa.table(
-                        {
-                            "member_id": f["a"],
-                            "rep": f["b"],
-                            "min_ent": f["c"],
-                        }
-                    )
-                )(t.filter(pc.equal(t["kind"], "m"))),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            joined = _label_join(
-                m_rows, labels,
-                [("min_ent", "rep", "canonical_id")],
-                ["member_id"],
-            )
-            return joined.map_batches(
-                lambda t: t.select(["member_id", "canonical_id"]).cast(CANON),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        # small label set: broadcast dict (the common case)
-        ent_labels = {r["node"]: r["label"] for r in labels.take_all()}
-
-    ref = ray.put(ent_labels) if ray.is_initialized() else ent_labels
-
-    def _emit(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.equal(t["kind"], "m"))
-        lab = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        ments = f["a"].to_pylist()
-        reps = f["b"].to_pylist()
-        ents = f["c"].to_pylist()
-        canon = [
-            (lab.get(e, e) if e is not None else r)
-            for e, r in zip(ents, reps)
-        ]
-        return pa.table(
-            {"member_id": ments, "canonical_id": canon}
-        ).cast(CANON)
-
-    return tagged.map_batches(
-        _emit, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
 def _canonicalize_general(
     linked: ray.data.Dataset,
     *,
@@ -510,7 +259,10 @@ def _canonicalize_general(
     num_partitions: int | None = None,
     **cc_kwargs,
 ) -> ray.data.Dataset:
-    """Mention-graph CC canonicalization (the general path).
+    """Mention-graph CC canonicalization: T3 LINKED → T4 CANON with no
+    smallness assumption about which nodes glue clusters. The pipeline
+    canonicalizes through the contracted fused path (stages/fused.py);
+    this path is its independent cross-check in tests/test_canonical.py.
 
     Scale design: the mention-level co-reference graph is CONTRACTED before
     the iterative CC — mentions collapse onto their (conv_id, surface)

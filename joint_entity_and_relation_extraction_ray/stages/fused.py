@@ -1,15 +1,18 @@
-"""Fused canonicalize + graph-materialize dataflow.
+"""Fused canonicalize + graph-materialize dataflow — the KG pipeline's
+canonicalization and graph inputs (wired as stages in
+``pipelines/run.py::kg_stages``).
 
-The contracted canonicalization (stages/canonical.py) buckets mentions by
-conversation to compute (conv, surface)-group reps. A triple's endpoint
-groups are derivable from the TRIPLE row itself — `(conv_id,
-normalize(subj_surface))` IS the subject mention's group key, because the
-scorer emits the identical surface slice for the mention and the triple
-endpoint. So one conv-bucketed shuffle over mentions ∪ triples resolves
-EVERYTHING the downstream graph needs, and canon / edges / nodes all
-derive from that single `TAGGED` dataset with cheap maps + final
-aggregates — no mention-keyed big–big joins at all (they were 60% of
-pipeline wall at 6M turns).
+Mentions canonicalize in two levels: they collapse onto (conv_id,
+normalized surface) groups, and an iterative CC runs over the
+entity-merge graph only. A triple's endpoint groups are derivable from
+the TRIPLE row itself — `(conv_id, normalize(subj_surface))` IS the
+subject mention's group key, because the scorer emits the identical
+surface slice for the mention and the triple endpoint. So one
+conv-bucketed shuffle over mentions ∪ triples resolves EVERYTHING the
+downstream graph needs, and canon / edges / nodes all derive from that
+single `TAGGED` dataset with cheap maps + final aggregates — no
+mention-keyed big–big joins at all (they were 60% of pipeline wall at 6M
+turns).
 
 TAGGED row kinds (superset schema, nulls off-kind):
 
@@ -19,10 +22,19 @@ TAGGED row kinds (superset schema, nulls off-kind):
 | t    | rep=subj_rep, min_ent=subj_ent, obj_rep, obj_ent, pred, ts |
 | p    | min_ent=src entity, obj_ent=dst entity (entity-merge edge) |
 
-Canonical label rule (proof in stages/canonical.py): for a group with
-linked entities, canonical = CC label of its min entity; otherwise its
-rep (min mention_id). The iterative salted hash-to-min CC runs on the
-`p`-edges only.
+Canonical label rule: for a group with linked entities, canonical = CC
+label of its min entity; otherwise its rep (min mention_id). The
+iterative salted hash-to-min CC runs on the `p`-edges only (groups that
+link ≥ 2 distinct entities emit (min_ent, other entity) edges).
+
+Exactness vs the mention-graph CC (``canonical._canonicalize_general``):
+within a component of the co-reference graph every entity is reachable
+through shared groups, so the merge edges connect exactly the entities
+of a component; entity ids sort before mention ids in the mention-graph
+label order ("e:" < "m:"), hence the component minimum is the min entity
+when any entity exists (→ its CC label), else the minimum mention of the
+single group (→ rep). tests/test_canonical.py checks this against the
+general path and a pure-python union-find oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import ray.data
 from ..functions.shuffle import cobucket_apply
 from ..functions.text import normalize_surface_array
 from ..schema import CANON, stable_bucket, stable_hash64
-from .canonical import connected_components, default_partitions
+from .canonical import connected_components
 
 TAGGED = pa.schema(
     [
@@ -200,27 +212,31 @@ def build_tagged(
     )
 
 
-def entity_labels(
-    tagged: ray.data.Dataset,
-    *,
-    num_salts: int = 16,
-    broadcast_threshold: int | None = None,
-    **cc_kwargs,
-):
-    """Salted iterative CC over the p-edges → entity→label mapping.
+LABELS = pa.schema([("node", pa.string()), ("label", pa.string())])
+# input of edge dedup (G1) and of node rollup (G2)
+REWRITTEN = pa.schema(
+    [
+        ("subj_id", pa.string()),
+        ("pred", pa.string()),
+        ("obj_id", pa.string()),
+        ("ts", pa.timestamp("us")),
+    ]
+)
+NODE_ROWS = pa.schema(
+    [
+        ("canonical_id", pa.string()),
+        ("surface", pa.string()),
+        ("ent_type", pa.string()),
+    ]
+)
 
-    Size-guarded physical choice: below ``broadcast_threshold`` rows the
-    mapping collects to a broadcast dict (one ``ray.put``, O(1) lookups in
-    every consumer map task); above it the mapping STAYS a Dataset and
-    consumers resolve labels through a co-bucketed shuffle join
-    (:func:`_label_join`) — at catalog scale (10^8 entities) a driver-side
-    dict would OOM the driver. The label set is bounded by entities that
-    appear in merge edges, so the broadcast path is the common case.
-    """
-    from ..functions.joins import BROADCAST_THRESHOLD_ROWS
 
-    if broadcast_threshold is None:
-        broadcast_threshold = BROADCAST_THRESHOLD_ROWS
+def cc_labels(
+    tagged: ray.data.Dataset, *, num_salts: int = 16, **cc_kwargs
+) -> ray.data.Dataset:
+    """Salted iterative CC over the p-edges → LABELS (node, label) for
+    every entity in a merge edge; a typed empty Dataset when no group
+    links ≥ 2 entities (the CC loop then never runs)."""
     merge_edges = tagged.map_batches(
         lambda t: (
             lambda f: pa.table({"src": f["min_ent"], "dst": f["obj_ent"]})
@@ -229,194 +245,158 @@ def entity_labels(
         zero_copy_batch=True,
     )
     if merge_edges.count() == 0:
-        lab: dict[str, str] = {}
-        return ray.put(lab) if ray.is_initialized() else lab
-    labels = connected_components(
-        merge_edges,
-        num_salts=num_salts,
-        num_partitions=cc_kwargs.pop("num_partitions", None)
-        or default_partitions(),
-        **cc_kwargs,
+        return ray.data.from_arrow(LABELS.empty_table())
+    return connected_components(
+        merge_edges, num_salts=num_salts, **cc_kwargs
     ).materialize()
-    if labels.count() > broadcast_threshold:
-        return labels  # Dataset path: consumers co-bucket-join
-    lab = {r["node"]: r["label"] for r in labels.take_all()}
+
+
+def label_mapping(
+    labels: ray.data.Dataset, *, broadcast_threshold: int | None = None
+):
+    """LABELS → the label argument of the ``*_from_tagged`` consumers.
+
+    Size-guarded physical choice: up to ``broadcast_threshold`` rows the
+    mapping collects to a broadcast dict (one ``ray.put``, looked up in
+    every consumer map task); above it the mapping STAYS a Dataset and
+    consumers resolve labels through a co-bucketed shuffle join — at
+    catalog scale (10^8 entities) a driver-side dict would OOM the driver.
+    The label set is bounded by entities that appear in merge edges, so
+    the broadcast path is the common case.
+    """
+    from ..functions.joins import BROADCAST_THRESHOLD_ROWS
+
+    if broadcast_threshold is None:
+        broadcast_threshold = BROADCAST_THRESHOLD_ROWS
+    n = labels.count()
+    if n > broadcast_threshold:
+        return labels
+    # no merge edges is the common case: skip executing a collect for it
+    lab = {r["node"]: r["label"] for r in labels.take_all()} if n else {}
     return ray.put(lab) if ray.is_initialized() else lab
+
+
+def entity_labels(
+    tagged: ray.data.Dataset,
+    *,
+    num_salts: int = 16,
+    broadcast_threshold: int | None = None,
+    **cc_kwargs,
+):
+    """:func:`cc_labels` in the form :func:`label_mapping` hands to the
+    consumers: a broadcast entity→label dict, or the label Dataset above
+    ``broadcast_threshold`` rows."""
+    return label_mapping(
+        cc_labels(tagged, num_salts=num_salts, **cc_kwargs),
+        broadcast_threshold=broadcast_threshold,
+    )
 
 
 def _get(ref):
     return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
-def _label_join(
-    rows: ray.data.Dataset,
-    labels: ray.data.Dataset,
+def _add_label(t: pa.Table, res: tuple[str, str, str], nodes, labels) -> pa.Table:
+    """Append ``out = label(ent) if ent has a CC label else ent if ent is
+    non-null else rep`` for ``res = (out, ent, rep)``; ``nodes`` and
+    ``labels`` are the label table's two columns."""
+    import pandas as pd
+
+    out, ent, rep = res
+    e = t[ent].combine_chunks()
+    hit = pa.nulls(len(e), pa.string())
+    if len(labels):
+        pos = pd.Index(nodes).get_indexer(e.to_numpy(zero_copy_only=False))
+        hit = labels.take(pa.array(pos, mask=pos < 0))
+    return t.append_column(out, pc.coalesce(hit, e, t[rep].combine_chunks()))
+
+
+def _labelled(
+    tagged: ray.data.Dataset,
+    lab_ref,
+    kind: str,
     resolve: list[tuple[str, str, str]],
-    passthrough: list[str],
+    schema: pa.Schema,
+    rename: dict[str, str] | None = None,
     *,
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
-    """Big–big label resolution: for each ``(ent_col, rep_col, out_col)``
-    in ``resolve``, compute ``out_col = label(ent) if ent has a CC label
-    else ent if ent non-null else rep`` via ONE co-bucketed shuffle per
-    entity column (the scale fallback when the label table exceeds the
-    broadcast threshold)."""
-    from ..functions.shuffle import cobucket_apply
+    """``kind`` rows of TAGGED with every ``(out, ent, rep)`` of
+    ``resolve`` labelled (:func:`_add_label`), projected to ``schema``
+    (``rename`` maps an output column to the TAGGED column it copies).
 
-    out = rows
-    for ent_col, rep_col, out_col in resolve:
+    A broadcast label dict is looked up inside one map; a label Dataset
+    (above the broadcast threshold) is joined in by ONE co-bucketed
+    shuffle per entity column, the same lookup running per bucket."""
+    rename = rename or {}
+    outs = [o for o, _, _ in resolve]
+    cols = list(
+        dict.fromkeys(
+            [c for _, e, r in resolve for c in (e, r)]
+            + [rename.get(n, n) for n in schema.names if n not in outs]
+        )
+    )
 
-        def _lbucket(t: pa.Table, ent_col=ent_col) -> pa.Array:
-            return pc.coalesce(t[ent_col].combine_chunks(), "")
+    def _project(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {n: t[rename.get(n, n)] for n in schema.names}
+        ).cast(schema)
 
-        def _fn(lt: pa.Table, rt: pa.Table, ent_col=ent_col,
-                rep_col=rep_col, out_col=out_col) -> pa.Table:
-            import polars as pl
+    if not isinstance(lab_ref, ray.data.Dataset):
 
-            l = pl.from_arrow(lt)
-            r = pl.from_arrow(rt).rename({"node": ent_col, "label": "_lab"})
-            j = l.join(r, on=ent_col, how="left")
-            j = j.with_columns(
-                pl.coalesce([pl.col("_lab"), pl.col(ent_col), pl.col(rep_col)])
-                .alias(out_col)
-            ).drop("_lab")
-            return j.to_arrow()
+        def _emit(t: pa.Table) -> pa.Table:
+            f = t.filter(pc.equal(t["kind"], kind))
+            lab = _get(lab_ref)
+            nodes, labels = list(lab), pa.array(list(lab.values()), pa.string())
+            for res in resolve:
+                f = _add_label(f, res, nodes, labels)
+            return _project(f)
 
-        out = cobucket_apply(
-            out,
-            labels,
-            _lbucket,
+        return tagged.map_batches(
+            _emit, batch_format="pyarrow", zero_copy_batch=True
+        )
+
+    rows = tagged.map_batches(
+        lambda t: t.filter(pc.equal(t["kind"], kind)).select(cols),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    for res in resolve:
+        rows = cobucket_apply(
+            rows,
+            lab_ref,
+            lambda t, ent=res[1]: pc.coalesce(t[ent].combine_chunks(), ""),
             lambda t: t["node"].combine_chunks(),
-            _fn,
+            lambda lt, rt, res=res: _add_label(
+                lt,
+                res,
+                rt["node"].to_numpy(zero_copy_only=False),
+                rt["label"].combine_chunks(),
+            ),
             num_buckets=num_buckets,
         )
-    keep = passthrough + [o for _, _, o in resolve]
-    return out.map_batches(
-        lambda t: t.select(keep), batch_format="pyarrow", zero_copy_batch=True
-    )
+    return rows.map_batches(_project, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def canon_from_tagged(tagged: ray.data.Dataset, lab_ref) -> ray.data.Dataset:
-    if isinstance(lab_ref, ray.data.Dataset):  # big-label co-bucket path
-        m = tagged.map_batches(
-            lambda t: (
-                lambda f: f.select(["mention_id", "min_ent", "rep"])
-            )(t.filter(pc.equal(t["kind"], "m"))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        joined = _label_join(
-            m, lab_ref,
-            [("min_ent", "rep", "canonical_id")],
-            ["mention_id"],
-        )
-        return joined.map_batches(
-            lambda t: pa.table(
-                {"member_id": t["mention_id"], "canonical_id": t["canonical_id"]}
-            ).cast(CANON),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    def _emit(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.equal(t["kind"], "m"))
-        lab = _get(lab_ref)
-        canon = [
-            (lab.get(e, e) if e is not None else r)
-            for e, r in zip(f["min_ent"].to_pylist(), f["rep"].to_pylist())
-        ]
-        return pa.table(
-            {"member_id": f["mention_id"], "canonical_id": pa.array(canon, pa.string())}
-        ).cast(CANON)
-
-    return tagged.map_batches(_emit, batch_format="pyarrow", zero_copy_batch=True)
+    """m-rows → T4 CANON (member_id, canonical_id)."""
+    return _labelled(
+        tagged, lab_ref, "m", [("canonical_id", "min_ent", "rep")], CANON,
+        {"member_id": "mention_id"},
+    )
 
 
 def rewritten_from_tagged(tagged: ray.data.Dataset, lab_ref) -> ray.data.Dataset:
-    """t-rows → (subj_id, pred, obj_id, ts): input of edge dedup (G1)."""
-    if isinstance(lab_ref, ray.data.Dataset):  # big-label co-bucket path
-        t_rows = tagged.map_batches(
-            lambda t: (
-                lambda f: f.select(
-                    ["rep", "min_ent", "obj_rep", "obj_ent", "pred", "ts"]
-                )
-            )(t.filter(pc.equal(t["kind"], "t"))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        joined = _label_join(
-            t_rows, lab_ref,
-            [("min_ent", "rep", "subj_id"), ("obj_ent", "obj_rep", "obj_id")],
-            ["pred", "ts"],
-        )
-        return joined.map_batches(
-            lambda t: t.select(["subj_id", "pred", "obj_id", "ts"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    def _emit(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.equal(t["kind"], "t"))
-        lab = _get(lab_ref)
-
-        def _c(ents, reps):
-            return pa.array(
-                [
-                    (lab.get(e, e) if e is not None else r)
-                    for e, r in zip(ents.to_pylist(), reps.to_pylist())
-                ],
-                pa.string(),
-            )
-
-        return pa.table(
-            {
-                "subj_id": _c(f["min_ent"], f["rep"]),
-                "pred": f["pred"],
-                "obj_id": _c(f["obj_ent"], f["obj_rep"]),
-                "ts": f["ts"],
-            }
-        )
-
-    return tagged.map_batches(_emit, batch_format="pyarrow", zero_copy_batch=True)
+    """t-rows → REWRITTEN (subj_id, pred, obj_id, ts): input of edge dedup (G1)."""
+    return _labelled(
+        tagged, lab_ref, "t",
+        [("subj_id", "min_ent", "rep"), ("obj_id", "obj_ent", "obj_rep")],
+        REWRITTEN,
+    )
 
 
 def node_rows_from_tagged(tagged: ray.data.Dataset, lab_ref) -> ray.data.Dataset:
-    """m-rows → (canonical_id, surface, ent_type): input of node rollup (G2)."""
-    if isinstance(lab_ref, ray.data.Dataset):  # big-label co-bucket path
-        m = tagged.map_batches(
-            lambda t: (
-                lambda f: f.select(["min_ent", "rep", "surface", "ent_type"])
-            )(t.filter(pc.equal(t["kind"], "m"))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        joined = _label_join(
-            m, lab_ref,
-            [("min_ent", "rep", "canonical_id")],
-            ["surface", "ent_type"],
-        )
-        return joined.map_batches(
-            lambda t: t.select(["canonical_id", "surface", "ent_type"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    def _emit(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.equal(t["kind"], "m"))
-        lab = _get(lab_ref)
-        canon = pa.array(
-            [
-                (lab.get(e, e) if e is not None else r)
-                for e, r in zip(f["min_ent"].to_pylist(), f["rep"].to_pylist())
-            ],
-            pa.string(),
-        )
-        return pa.table(
-            {
-                "canonical_id": canon,
-                "surface": f["surface"],
-                "ent_type": f["ent_type"],
-            }
-        )
-
-    return tagged.map_batches(_emit, batch_format="pyarrow", zero_copy_batch=True)
+    """m-rows → NODE_ROWS (canonical_id, surface, ent_type): input of node rollup (G2)."""
+    return _labelled(
+        tagged, lab_ref, "m", [("canonical_id", "min_ent", "rep")], NODE_ROWS
+    )

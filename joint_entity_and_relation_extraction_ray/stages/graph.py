@@ -1,10 +1,11 @@
-"""Graph materialize: T2 triples ⋈ T4 canon → deduplicated node/edge
-Parquet tables partitioned by entity-id hash (SURVEY.md §2.2 J2/G1/G2/S4;
-BASELINE.json:6 "graph materialize emits deduplicated node/edge Parquet
-tables partitioned by entity-id hash").
+"""Graph materialize: canonical triples and mention rows → deduplicated
+node/edge Parquet tables partitioned by entity-id hash (SURVEY.md §2.2
+G1/G2/S4; BASELINE.json:6 "graph materialize emits deduplicated node/edge
+Parquet tables partitioned by entity-id hash"). Their inputs come from the
+fused dataflow (stages/fused.py ``rewritten_from_tagged`` /
+``node_rows_from_tagged``).
 
 Shuffle discipline:
-- triple→canonical rewrite is two hash joins keyed on mention_id (J2);
 - edge dedup (G1) pre-aggregates INSIDE map_batches (per-batch
   (subj, pred, obj) counts + ts min/max) before the global groupby, so the
   shuffle moves one row per distinct edge per block, not one per triple —
@@ -28,106 +29,6 @@ from ..schema import EDGES, NODES, stable_bucket
 from .canonical import default_partitions
 
 DEFAULT_WRITE_PARTS = 64
-
-
-class _CanonRewriter:
-    """Actor: the mention→canonical index is built ONCE per actor; each
-    batch rewrites BOTH endpoints with two C-speed lookups — one stage
-    and one index build instead of two chained joins."""
-
-    def __init__(self, ref):
-        import pandas as pd
-
-        t: pa.Table = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        self.index = pd.Index(t["member_id"].to_numpy(zero_copy_only=False))
-        self.labels = t["canonical_id"].combine_chunks()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        si = self.index.get_indexer(
-            batch["subj_mention_id"].to_numpy(zero_copy_only=False)
-        )
-        oi = self.index.get_indexer(
-            batch["obj_mention_id"].to_numpy(zero_copy_only=False)
-        )
-        keep = (si >= 0) & (oi >= 0)  # inner-join semantics
-        sel = batch.filter(pa.array(keep))
-        return pa.table(
-            {
-                "subj_id": self.labels.take(si[keep]),
-                "pred": sel["pred"],
-                "obj_id": self.labels.take(oi[keep]),
-                "ts": sel["ts"],
-            }
-        )
-
-
-def rewrite_triples(
-    triples: ray.data.Dataset,
-    canon: ray.data.Dataset,
-    *,
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """J2: triple endpoints → canonical ids, keyed on mention_id.
-
-    Broadcastable canon (≤ threshold) → single dual-lookup actor stage;
-    larger → two shuffle hash joins (the at-scale path).
-    """
-    from ..functions.joins import BROADCAST_THRESHOLD_ROWS, dataset_to_table
-    from ..stages.linker import default_pool_size
-
-    num_partitions = num_partitions or default_partitions()
-    canon = canon.materialize()
-    if canon.count() <= BROADCAST_THRESHOLD_ROWS:
-        ref = (
-            ray.put(dataset_to_table(canon))
-            if ray.is_initialized()
-            else dataset_to_table(canon)
-        )
-        return triples.map_batches(
-            _CanonRewriter,
-            fn_constructor_kwargs={"ref": ref},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, default_pool_size()),
-        )
-    # At-scale path: mention_id is conv-prefixed ("conv:turn:start:end"),
-    # so triples and canon CO-PARTITION on the conversation — ONE bucketed
-    # shuffle joins BOTH endpoints (the planner's all-to-all JoinOperator
-    # stalled at ~10^7-row inputs; conv-bucketing also bounds per-reducer
-    # state to a bucket's conversations).
-    from ..functions.shuffle import cobucket_apply
-
-    def _conv_of_member(t: pa.Table) -> pa.Array:
-        return pc.list_element(pc.split_pattern(t["member_id"], ":"), 0)
-
-    def _join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        idx = pd.Index(rt["member_id"].to_numpy(zero_copy_only=False))
-        labels = rt["canonical_id"].combine_chunks()
-        si = idx.get_indexer(lt["subj_mention_id"].to_numpy(zero_copy_only=False))
-        oi = idx.get_indexer(lt["obj_mention_id"].to_numpy(zero_copy_only=False))
-        keep = (si >= 0) & (oi >= 0)
-        sel = lt.filter(pa.array(keep))
-        return pa.table(
-            {
-                "subj_id": labels.take(si[keep]),
-                "pred": sel["pred"],
-                "obj_id": labels.take(oi[keep]),
-                "ts": sel["ts"],
-            }
-        )
-
-    return cobucket_apply(
-        triples.select_columns(
-            ["conv_id", "subj_mention_id", "obj_mention_id", "pred", "ts"]
-        ),
-        canon,
-        lambda t: t["conv_id"].combine_chunks(),
-        _conv_of_member,
-        _join_bucket,
-        num_buckets=num_partitions,
-    ).select_columns(["subj_id", "pred", "obj_id", "ts"])
 
 
 def _edge_combiner(batch: pa.Table) -> pa.Table:
@@ -188,74 +89,6 @@ def build_edges(
         ).cast(EDGES)
 
     return bucket_group_apply(partial, "subj_id", _reduce, num_buckets=num_buckets)
-
-
-def build_nodes(
-    linked: ray.data.Dataset,
-    canon: ray.data.Dataset,
-    entity_names: dict[str, str] | "ray.ObjectRef",
-    *,
-    num_partitions: int | None = None,
-    num_buckets: int = DEFAULT_WRITE_PARTS,
-) -> ray.data.Dataset:
-    """G2: per-canonical-entity rollup → T5 NODES.
-
-    `entity_names` (entity_id → canonical display name from the alias
-    catalog) is a broadcast small side; clusters without a catalog entity
-    fall back to their smallest alias. Aliases are the sorted distinct
-    surfaces of the cluster's mentions.
-    """
-    num_partitions = num_partitions or default_partitions()
-    from ..functions.joins import BROADCAST_THRESHOLD_ROWS
-
-    canon = canon.materialize()
-    if canon.count() <= BROADCAST_THRESHOLD_ROWS:
-        j = join_auto(
-            linked,
-            canon,
-            on=("mention_id",),
-            right_on=("member_id",),
-            num_partitions=num_partitions,
-        ).select_columns(["canonical_id", "surface", "ent_type"])
-    else:
-        # big–big: conv-co-bucketed join (see rewrite_triples)
-        from ..functions.shuffle import cobucket_apply
-
-        def _conv_of_member(t: pa.Table) -> pa.Array:
-            return pc.list_element(pc.split_pattern(t["member_id"], ":"), 0)
-
-        def _join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
-            import pandas as pd
-
-            idx = pd.Index(rt["member_id"].to_numpy(zero_copy_only=False))
-            labels = rt["canonical_id"].combine_chunks()
-            mi = idx.get_indexer(
-                lt["mention_id"].to_numpy(zero_copy_only=False)
-            )
-            keep = mi >= 0
-            sel = lt.filter(pa.array(keep))
-            return pa.table(
-                {
-                    "canonical_id": labels.take(mi[keep]),
-                    "surface": sel["surface"],
-                    "ent_type": sel["ent_type"],
-                }
-            )
-
-        j = cobucket_apply(
-            linked.select_columns(
-                ["conv_id", "mention_id", "surface", "ent_type"]
-            ),
-            canon,
-            lambda t: t["conv_id"].combine_chunks(),
-            _conv_of_member,
-            _join_bucket,
-            num_buckets=num_partitions,
-        )
-
-    return node_rollup(
-        j, entity_names, num_buckets=num_buckets
-    )
 
 
 def node_rollup(

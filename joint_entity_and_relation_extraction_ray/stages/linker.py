@@ -25,12 +25,19 @@ def default_pool_size() -> int:
     """Actor-pool size that leaves ≥2 CPUs of headroom for the read /
     split / write tasks feeding and draining the pool — a pool that
     reserves every CPU starves those tasks and stalls the pipeline
-    (observed as a deadlock in 4-CPU sessions)."""
+    (observed as a deadlock in 4-CPU sessions). A 2-CPU session gets one
+    actor; a 1-CPU session cannot run a pool beside its feeding tasks, so
+    it fails here instead of hanging."""
     try:
         ncpu = int(ray.cluster_resources().get("CPU", 4))
     except Exception:
         ncpu = 4
-    return max(2, ncpu - 2)
+    if ncpu < 2:
+        raise RuntimeError(
+            f"the Ray session has {ncpu} CPU(s); actor-pool stages need at "
+            "least 2 (one actor plus one CPU for the tasks that feed it)"
+        )
+    return 1 if ncpu == 2 else max(2, ncpu - 2)
 
 
 def resolve_aliases(aliases: pa.Table) -> pa.Table:

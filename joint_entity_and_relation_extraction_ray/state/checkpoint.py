@@ -44,6 +44,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
@@ -88,6 +89,49 @@ def parquet_sig(path: str | Path) -> str:
     return h.hexdigest()[:16]
 
 
+def _write_stage(
+    ds: ray.data.Dataset, tmp: Path, declared, *, partition: bool = False
+) -> tuple[dict[str, int], object]:
+    """Write ``ds`` to the fresh directory ``tmp`` → ({relative file:
+    rows}, schema); with ``partition``, a ``part`` column becomes one
+    ``part=<k>`` directory per value.
+
+    ``declared`` (the stage's declared output schema) stands in for the
+    Dataset's own schema when that is not known without executing the
+    stage: ``ds.schema()`` of a lazy Dataset runs its first block, and an
+    actor-pool stage spins its pool up for it. A stage that yields no rows
+    still leaves one 0-row file of that schema (Ray Data writes no
+    directory for 0 rows, and reports no schema for an empty mapped
+    Dataset), so the checkpoint reads back, and its manifest lets a
+    resubmission skip the stage, like any other."""
+    schema = ds.schema(fetch_if_missing=False) or declared or ds.schema()
+    part_cols = (
+        ["part"] if partition and schema and "part" in schema.names else None
+    )
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    ds.write_parquet(str(tmp), partition_cols=part_cols)
+    files = {
+        str(f.relative_to(tmp)): pq.ParquetFile(f).metadata.num_rows
+        for f in sorted(tmp.rglob("*.parquet"))
+    }
+    if files:
+        return files, schema
+    if schema is None:
+        raise ValueError(
+            f"{tmp.name}: the stage yielded no rows and its schema is unknown "
+            "(declare the stage's output_schema)"
+        )
+    tmp.mkdir(parents=True, exist_ok=True)
+    empty = pa.schema(list(zip(schema.names, schema.types)))
+    pq.write_table(empty.empty_table(), tmp / "empty.parquet")
+    return {"empty.parquet": 0}, schema
+
+
+def _schema_dict(schema) -> dict[str, str]:
+    return dict(zip(schema.names, map(str, schema.types))) if schema else {}
+
+
 class Checkpointer:
     """Runs stages with skip-if-done semantics over a shared ``out_root``."""
 
@@ -123,10 +167,13 @@ class Checkpointer:
         *,
         params: dict | None = None,
         deps: list[str] | None = None,
+        schema: pa.Schema | None = None,
     ) -> ray.data.Dataset:
         """Return the stage's Dataset, computing + persisting it only if no
         valid checkpoint exists. ``deps`` are upstream STAGE NAMES already
-        run through this checkpointer (their fingerprints chain in)."""
+        run through this checkpointer (their fingerprints chain in).
+        ``schema`` is the stage's declared output schema (see
+        :func:`_write_stage`)."""
         params = params or {}
         dep_fps = [self.fingerprints[d] for d in (deps or [])]
         fp = fingerprint(stage, params, dep_fps)
@@ -139,16 +186,8 @@ class Checkpointer:
         ds = build()
         t0 = time.perf_counter()
         tmp = self.root / f"{stage}.tmp-{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        schema = ds.schema()
-        part_cols = ["part"] if "part" in schema.names else None
-        ds.write_parquet(str(tmp), partition_cols=part_cols)
+        files, schema = _write_stage(ds, tmp, schema, partition=True)
         wall = time.perf_counter() - t0
-
-        files = {}
-        for f in sorted(tmp.rglob("*.parquet")):
-            files[str(f.relative_to(tmp))] = pq.ParquetFile(f).metadata.num_rows
         rows = sum(files.values())
 
         if out_dir.exists():
@@ -161,7 +200,7 @@ class Checkpointer:
                     "rows": rows,
                     "files": files,
                     "wall_s": round(wall, 3),
-                    "schema": dict(zip(schema.names, map(str, schema.types))),
+                    "schema": _schema_dict(schema),
                     "params": params,
                     "deps": {d: self.fingerprints[d] for d in (deps or [])},
                 },
@@ -205,6 +244,7 @@ class Checkpointer:
         params: dict | None = None,
         part_params: Callable[[int], dict] | None = None,
         deps: list[str] | None = None,
+        schema: pa.Schema | None = None,
     ) -> ray.data.Dataset:
         """Partition-level skip-if-done: ``build_part(k)`` computes shard k
         of the stage; each shard writes atomically to ``part=<k>/`` with
@@ -217,7 +257,8 @@ class Checkpointer:
         one input shard changed recomputes exactly that partition, while
         the stage-level fingerprint (hash of all partition fingerprints)
         still invalidates downstream stages. Re-sharding or upstream edits
-        change every partition fingerprint at once."""
+        change every partition fingerprint at once. ``schema`` as in
+        :meth:`run`."""
         params = params or {}
         dep_fps = [self.fingerprints[d] for d in (deps or [])]
         base = {**params, "num_parts": num_parts}
@@ -240,20 +281,12 @@ class Checkpointer:
             for k in range(num_parts)
             if not self.part_is_done(stage, k, part_fps[k])
         ]
-        schema = None
         for k in todo:
             ds = build_part(k)
             t0 = time.perf_counter()
             tmp = self.root / f"{stage}.tmp-part{k}-{os.getpid()}"
-            if tmp.exists():
-                shutil.rmtree(tmp)
-            schema = ds.schema()
-            ds.write_parquet(str(tmp))
+            files, part_schema = _write_stage(ds, tmp, schema)
             wall = time.perf_counter() - t0
-            files = {
-                str(f.relative_to(tmp)): pq.ParquetFile(f).metadata.num_rows
-                for f in sorted(tmp.rglob("*.parquet"))
-            }
             dest = out_dir / f"part={k}"
             if dest.exists():
                 shutil.rmtree(dest)
@@ -267,9 +300,7 @@ class Checkpointer:
                         "rows": sum(files.values()),
                         "files": files,
                         "wall_s": round(wall, 3),
-                        "schema": dict(
-                            zip(schema.names, map(str, schema.types))
-                        ),
+                        "schema": _schema_dict(part_schema),
                     },
                     indent=1,
                 )

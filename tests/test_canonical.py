@@ -9,8 +9,10 @@ import pytest
 
 from joint_entity_and_relation_extraction_ray.functions.text import normalize_surface
 from joint_entity_and_relation_extraction_ray.pipelines import kg
+from joint_entity_and_relation_extraction_ray.schema import ALIASES, MENTIONS
+from joint_entity_and_relation_extraction_ray.stages import fused
 from joint_entity_and_relation_extraction_ray.stages.canonical import (
-    canonicalize,
+    _canonicalize_general,
     connected_components,
 )
 from joint_entity_and_relation_extraction_ray.stages.linker import (
@@ -62,33 +64,97 @@ def test_cc_matches_union_find_oracle(ray_session):
 import ray  # noqa: E402  (used in fixture-scoped test above)
 
 
+def _fused_canon(linked, triples) -> dict:
+    """member_id → canonical_id through the pipeline's fused path."""
+    tagged = fused.build_tagged(linked, triples, num_buckets=8).materialize()
+    df = fused.canon_from_tagged(tagged, fused.entity_labels(tagged)).to_pandas()
+    assert df["member_id"].is_unique
+    return dict(zip(df["member_id"], df["canonical_id"]))
+
+
+def _general_canon(linked) -> dict:
+    df = _canonicalize_general(linked).to_pandas()
+    return dict(zip(df["member_id"], df["canonical_id"]))
+
+
+def _union_find_canon(linked_tbl) -> dict:
+    """Pure-python mention-graph oracle: a mention joins its linked entity
+    and the first mention of its (conv, normalized surface) group; its
+    canonical id is the component minimum, entities ("e:") before
+    mentions ("m:")."""
+    edges, first = [], {}
+    for conv, mid, surf, ent in zip(
+        linked_tbl["conv_id"].to_pylist(),
+        linked_tbl["mention_id"].to_pylist(),
+        linked_tbl["surface"].to_pylist(),
+        linked_tbl["cand_entity_id"].to_pylist(),
+    ):
+        m = "m:" + mid
+        edges.append((m, "e:" + ent if ent is not None else m))
+        edges.append((m, first.setdefault((conv, normalize_surface(surf)), m)))
+    labels = _union_find_labels(edges)
+    return {
+        x[2:]: lab[2:] for x, lab in labels.items() if x.startswith("m:")
+    }
+
+
+# A surface with precomposed non-ASCII letters ("é" is U+00E9), the only
+# alias of its entity: it must link and canonicalize like an ASCII one.
+ACCENT_ALIAS = pa.table(
+    {"alias": ["café müller"], "entity_id": ["X0001"], "ent_type": ["Org"],
+     "prior": pa.array([1.0], pa.float32())},
+    schema=ALIASES,
+)
+ACCENT_MENTION = pa.table(
+    {"conv_id": ["cafe"], "turn_idx": pa.array([0], pa.int32()),
+     "mention_id": ["cafe:0:0:11"], "start": pa.array([0], pa.int32()),
+     "end": pa.array([11], pa.int32()), "surface": ["Café Müller"],
+     "ent_type": ["Org"], "score": pa.array([0.9], pa.float32())},
+    schema=MENTIONS,
+)
+
+
 @pytest.fixture(scope="module")
 def canon_result(ray_session, sf0001_corpus):
-    aliases = pq.read_table(sf0001_corpus / "aliases.parquet")
-    mentions = ray.data.read_parquet(str(sf0001_corpus / "golden_mentions"))
-    linked = link_mentions(mentions, aliases, concurrency=2).materialize()
-    return canonicalize(linked).to_pandas(), aliases
+    aliases = pa.concat_tables(
+        [pq.read_table(sf0001_corpus / "aliases.parquet").cast(ALIASES), ACCENT_ALIAS]
+    )
+    mentions = pa.concat_tables(
+        [pq.read_table(sf0001_corpus / "golden_mentions").cast(MENTIONS), ACCENT_MENTION]
+    )
+    linked = link_mentions(
+        ray.data.from_arrow(mentions), aliases, concurrency=2
+    ).materialize()
+    triples = ray.data.read_parquet(str(sf0001_corpus / "golden_triples"))
+    return _fused_canon(linked, triples), aliases, mentions, linked
 
 
-def test_canonicalize_every_mention_mapped(canon_result, sf0001_corpus):
-    canon, _ = canon_result
-    m = pq.read_table(sf0001_corpus / "golden_mentions")
-    assert len(canon) == m.num_rows
-    assert canon["member_id"].is_unique
+def test_canonicalize_every_mention_mapped(canon_result):
+    canon, _, mentions, _ = canon_result
+    assert set(canon) == set(mentions["mention_id"].to_pylist())
 
 
-def test_canonicalize_matches_linker_fixpoint(canon_result, sf0001_corpus):
+def test_canonicalize_matches_linker_fixpoint(canon_result):
     """Every surface is in the alias dict → each cluster holds exactly one
     entity → canonical label == linked entity id."""
-    canon, aliases = canon_result
+    canon, aliases, mentions, _ = canon_result
     idx = build_alias_index(aliases)
-    m = pq.read_table(sf0001_corpus / "golden_mentions").to_pandas()
-    m["best"] = [
-        idx.get((normalize_surface(s), t), (None,))[0]
-        for s, t in zip(m["surface"], m["ent_type"])
-    ]
-    merged = m.merge(canon, left_on="mention_id", right_on="member_id")
-    assert (merged["best"] == merged["canonical_id"]).all()
+    best = {
+        mid: idx.get((normalize_surface(s), t), (None,))[0]
+        for mid, s, t in zip(
+            mentions["mention_id"].to_pylist(),
+            mentions["surface"].to_pylist(),
+            mentions["ent_type"].to_pylist(),
+        )
+    }
+    assert canon == best
+    assert canon["cafe:0:0:11"] == "X0001"
+
+
+def test_fused_canon_matches_general_and_oracle_on_corpus(canon_result):
+    canon, _, _, linked = canon_result
+    assert canon == _general_canon(linked)
+    assert canon == _union_find_canon(kg.to_table(linked))
 
 
 def _random_linked(rng, n_conv=40, n_ment=600):
@@ -139,16 +205,19 @@ def _random_linked(rng, n_conv=40, n_ment=600):
 
 
 def test_contracted_equals_general_on_ambiguous_graph(ray_session):
-    """The contracted fast path must equal the general mention-graph CC
-    exactly — including multi-entity groups that merge entities
-    transitively and unlinked singleton groups."""
+    """The contracted fused path (build_tagged → entity_labels →
+    canon_from_tagged) must equal the general mention-graph CC and the
+    union-find oracle exactly — including multi-entity groups that merge
+    entities transitively and unlinked singleton groups."""
     rng = np.random.default_rng(7)
-    linked = ray.data.from_arrow(_random_linked(rng)).materialize()
-    fast = canonicalize(linked, method="contracted").to_pandas()
-    slow = canonicalize(linked, method="general").to_pandas()
-    f = dict(zip(fast["member_id"], fast["canonical_id"]))
-    s = dict(zip(slow["member_id"], slow["canonical_id"]))
-    assert f == s
+    linked_tbl = _random_linked(rng)
+    linked = ray.data.from_arrow(linked_tbl).materialize()
+    triples = ray.data.from_arrow(_triples_from_linked(linked_tbl))
+    fast = _fused_canon(linked, triples)
+    ents = zip(linked_tbl["mention_id"].to_pylist(), linked_tbl["cand_entity_id"].to_pylist())
+    assert any(e is not None and fast[m] != e for m, e in ents)  # entities merged
+    assert fast == _general_canon(linked)
+    assert fast == _union_find_canon(linked_tbl)
 
 
 def _triples_from_linked(linked_tbl):
@@ -193,8 +262,6 @@ def test_label_dataset_path_matches_broadcast(ray_session):
     """Forcing the big-label Dataset path (broadcast_threshold=0) must give
     byte-identical canon/edges/nodes inputs vs the broadcast-dict path —
     the catalog-scale fallback is code, not a comment."""
-    from joint_entity_and_relation_extraction_ray.stages import fused
-
     rng = np.random.default_rng(23)
     linked_tbl = _random_linked(rng)
     linked = ray.data.from_arrow(linked_tbl).materialize()
@@ -253,21 +320,6 @@ def test_resolve_aliases_distributed_matches_local(ray_session, sf0001_corpus):
         dist[["alias", "ent_type", "entity_id"]]
     )
     assert (local["score"] - dist["score"]).abs().max() < 1e-12
-
-
-def test_contracted_big_label_path_matches_dict(ray_session, monkeypatch):
-    """Forcing the catalog-scale label join inside contracted canonicalize
-    (threshold=0) must reproduce the broadcast-dict result exactly."""
-    from joint_entity_and_relation_extraction_ray.functions import joins
-
-    rng = np.random.default_rng(31)
-    linked = ray.data.from_arrow(_random_linked(rng)).materialize()
-    base = canonicalize(linked, method="contracted").to_pandas()
-    monkeypatch.setattr(joins, "BROADCAST_THRESHOLD_ROWS", 0)
-    big = canonicalize(linked, method="contracted").to_pandas()
-    b = dict(zip(base["member_id"], base["canonical_id"]))
-    g = dict(zip(big["member_id"], big["canonical_id"]))
-    assert b == g
 
 
 def test_cc_salting_spreads_hot_key(ray_session):

@@ -221,6 +221,60 @@ def test_checkpointed_pipeline_resume(tmp_path, ray_session):
         .equals(edges3.sort_values(key).reset_index(drop=True)[key + ["weight"]])
     )
 
+    # the checkpointed job and kg.stage run one stage list: same graph
+    import pyarrow.parquet as pq
+
+    from joint_entity_and_relation_extraction_ray.pipelines import kg
+
+    def _rows(tbl, cols):
+        return sorted(
+            tuple(tuple(v) if isinstance(v, list) else v for v in r)
+            for r in zip(*[tbl[c].to_pylist() for c in cols])
+        )
+
+    sf = "/root/testdata/sf0.001"
+    ecols = ["subj_id", "pred", "obj_id", "weight", "first_ts", "last_ts"]
+    ncols = ["entity_id", "canonical_name", "ent_type", "mention_count", "aliases"]
+    edges = pq.read_table(tmp_path / "out" / "edges")
+    nodes = pq.read_table(tmp_path / "out" / "nodes")
+    assert edges.num_rows and nodes.num_rows
+    assert _rows(edges, ecols) == _rows(kg.to_table(kg.stage(sf, "edges")), ecols)
+    assert _rows(nodes, ncols) == _rows(kg.to_table(kg.stage(sf, "nodes")), ncols)
+    assert m1["stages"]["labels"] == 0  # no multi-entity group in this corpus
+    assert (tmp_path / "out" / "labels.manifest.json").exists()
+
+
+def test_zero_row_stage_checkpoints_and_resumes(tmp_path, ray_session):
+    """A stage that yields no rows (an empty mapped Dataset has no known
+    schema, and Ray writes no directory for 0 rows) still leaves a typed
+    0-row checkpoint and a manifest, and a rerun skips it."""
+    import pyarrow.parquet as pq
+
+    schema = pa.schema([("x", pa.int64()), ("y", pa.string())])
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(pa.table({"x": [1, 2], "y": ["a", "b"]}), src / "a.parquet")
+    calls = []
+
+    def build():
+        calls.append(1)
+        return ray.data.read_parquet(str(src)).map_batches(
+            lambda t: t.filter(pa.array([False] * len(t), pa.bool_())),
+            batch_format="pyarrow",
+        )
+
+    for _ in range(2):
+        ck = Checkpointer(tmp_path / "out")
+        ds = ck.run("empty", build, schema=schema)
+        assert ds.count() == 0
+        assert ds.schema().names == ["x", "y"]
+        assert ck.manifest("empty")["rows"] == 0
+        parts = ck.run_partitioned(
+            "empty_parts", lambda k: build(), num_parts=2, schema=schema
+        )
+        assert parts.count() == 0
+    assert len(calls) == 3  # the rerun built nothing
+
 
 def test_upsert_partitioned_touches_only_affected_parts(
     ray_session, tmp_path

@@ -117,3 +117,23 @@ def test_build_report_consistency(ray_session):
     # both-endpoints-linked triples, bounded by the triple count
     assert 0 < r["n_edges"] <= r["total_weight"] <= r["n_triples"]
     assert 0 < r["n_entities_linked"] <= r["n_linked"]
+
+
+def test_pool_size_leaves_cpus_for_feeding_tasks(monkeypatch):
+    """The actor-pool size keeps CPUs free for the tasks that feed the
+    pool: one actor in a 2-CPU session, a clear error in a 1-CPU session
+    (where any pool would hang the job), and max(2, ncpu - 2) from 3 CPUs
+    up."""
+    import ray
+
+    from joint_entity_and_relation_extraction_ray.stages.linker import (
+        default_pool_size,
+    )
+
+    def with_cpus(n):
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(n)})
+        return default_pool_size()
+
+    assert [with_cpus(n) for n in (2, 3, 4, 8, 32)] == [1, 2, 2, 6, 30]
+    with pytest.raises(RuntimeError, match="at least 2"):
+        with_cpus(1)

@@ -55,47 +55,6 @@ def test_partitioned_write_layout(graph, tmp_path):
     assert back.num_rows == kg.to_table(graph["edges"]).num_rows
 
 
-def test_bigbig_cobucket_join_paths_match_small(ray_session, sf0001_corpus, monkeypatch):
-    """Forcing the at-scale conv-co-bucketed join (threshold=0) must give
-    byte-identical edges/nodes to the broadcast small path."""
-    from joint_entity_and_relation_extraction_ray.functions import joins
-    from joint_entity_and_relation_extraction_ray.pipelines import kg
-    from joint_entity_and_relation_extraction_ray.stages.graph import (
-        build_edges,
-        build_nodes,
-        rewrite_triples,
-    )
-
-    triples = kg.stage("/root/testdata/sf0.001", "triples")
-    linked = kg.stage("/root/testdata/sf0.001", "linked")
-    canon = kg.stage("/root/testdata/sf0.001", "canon")
-    names = kg.load_entity_names("/root/testdata/sf0.001")
-
-    key = ["subj_id", "pred", "obj_id"]
-    small_e = (
-        build_edges(rewrite_triples(triples, canon)).to_pandas()
-        .sort_values(key).reset_index(drop=True)
-    )
-    small_n = (
-        build_nodes(linked, canon, names).to_pandas()
-        .sort_values("entity_id").reset_index(drop=True)
-    )
-
-    monkeypatch.setattr(joins, "BROADCAST_THRESHOLD_ROWS", 0)
-    big_e = (
-        build_edges(rewrite_triples(triples, canon)).to_pandas()
-        .sort_values(key).reset_index(drop=True)
-    )
-    big_n = (
-        build_nodes(linked, canon, names).to_pandas()
-        .sort_values("entity_id").reset_index(drop=True)
-    )
-    assert small_e.equals(big_e)
-    cols = ["entity_id", "canonical_name", "ent_type", "mention_count", "part"]
-    assert small_n[cols].equals(big_n[cols])
-    assert (small_n["aliases"].apply(list) == big_n["aliases"].apply(list)).all()
-
-
 def test_two_hop_pred_counts(ray_session):
     import pyarrow as pa
     import ray.data
