@@ -4,11 +4,12 @@
 run a vectorized callback per bucket with all co-keyed rows local — the
 engine's grouped-apply and big–big-join primitives.
 
-Physical implementation: a two-stage SPLIT → REDUCE shuffle on raw Ray
+Physical implementation: one two-stage SPLIT → REDUCE shuffle on raw Ray
 tasks over the dataset's Arrow block refs (zero-copy out of the object
-store). Each split task sorts its block by bucket id and returns one
-slice per bucket (``num_returns=B``); each reduce task concatenates its
-bucket's slices and applies the callback; the result is re-wrapped as a
+store), written once (``_exchange``) for both primitives. Each split task
+sorts its blocks by bucket id and returns one slice per bucket
+(``num_returns=B``); each reduce task concatenates every side's slices of
+its bucket and applies the callback; the result is re-wrapped as a
 ``ray.data.Dataset`` via ``from_arrow_refs``. Measured on 16M rows × 7
 string cols (single node, 32 CPUs): 6 s, vs 23 s for ``Dataset.sort`` and
 102 s for ``groupby().map_groups`` with an identity UDF — the Dataset
@@ -20,13 +21,14 @@ Partitioning assumptions (documented per the brief):
 - one bucket's rows fit in a reduce worker's heap (callers bound bucket
   content: conv-keyed data is bounded per conv; aggregations pre-combine
   per block so hot keys arrive ≤ once per block);
-- the driver holds O(blocks × buckets) object refs — bound block count
-  upstream (``override_num_blocks``) on huge inputs; for inputs past
-  the object store (or multi-node with shared storage) flip
-  ``exchange="parquet"`` / ``KGRAY_EXCHANGE=parquet`` — the
-  parquet-staged exchange (VERDICT r4 #8) streams the same shuffle
-  through partitioned files with O(buckets) driver refs,
-  equivalence-tested against this path.
+- the driver holds O(split tasks × buckets) object refs, with at most
+  2 × CPU split tasks per side.
+
+Inputs larger than the object store spill through Ray's object spilling
+(320 MB through a 100 MiB store gives exact results, see
+``tests/test_shuffle.py::test_exchange_spills_past_object_store``), and
+object refs resolve cluster-wide, so the same exchange runs multi-node
+with no shared storage.
 
 Hot-key note: a combiner applied in ``map_batches`` BEFORE the shuffle
 (reduce per key per block) caps any key's fan-in at the block count —
@@ -36,19 +38,16 @@ stages/canonical.py.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 from ..schema import stable_bucket
-
-BUCKET_COL = "_bucket"
-# reserved hive-partition column of the parquet exchange media — distinct
-# from BUCKET_COL so pre-stamped user schemas round-trip unchanged
-XPART_COL = "_xpart"
 
 
 def _keys_to_numpy(keys) -> np.ndarray:
@@ -68,19 +67,34 @@ def _split_block(tbl: pa.Table, bucket_ids: np.ndarray, num_buckets: int):
     )
 
 
+def _check_bucket_ids(col: "pa.ChunkedArray", name: str, num_buckets: int):
+    """A precomputed bucket id outside [0, num_buckets) (or null) would
+    fall outside every slice of ``_split_block`` and its row would be
+    lost; fail instead."""
+    mm = pc.min_max(col)
+    lo, hi = mm["min"].as_py(), mm["max"].as_py()
+    if col.null_count or lo < 0 or hi >= num_buckets:
+        raise ValueError(
+            f"bucket column {name!r} must hold non-null ids in "
+            f"[0, {num_buckets}); got min={lo}, max={hi}, "
+            f"nulls={col.null_count}"
+        )
+
+
 def _split_refs(
-    ds: ray.data.Dataset,
-    key_fn: Callable[[pa.Table], "pa.Array"],
+    mat: ray.data.Dataset,
+    key_fn: Callable[[pa.Table], "pa.Array"] | str,
     num_buckets: int,
 ) -> tuple[list, pa.Schema]:
-    """One split task per materialized Arrow block → (per-block tuples of
-    bucket slices, schema). Zero-copy reads from plasma. Ray represents
-    0-row blocks as 0-COLUMN tables; reducers use the returned schema to
-    rebuild typed empties."""
+    """One split task per chunk of a MATERIALIZED dataset's Arrow blocks →
+    (per-task lists of bucket slice refs, schema). Zero-copy reads from
+    plasma. Ray represents 0-row blocks as 0-COLUMN tables; reducers use
+    the returned schema to rebuild typed empties.
 
-    # key_fn may be a column NAME of a precomputed int bucket column in
-    # [0, num_buckets) — cheaper than hashing inside the split task and
-    # avoids shipping the raw key strings through the shuffle at all
+    ``key_fn`` is a callable key extractor whose values hash with the
+    house ``stable_bucket``, or the NAME of a precomputed int bucket
+    column in [0, num_buckets) — cheaper than hashing inside the split
+    task, and the raw key strings never travel through the shuffle."""
     bucket_col = key_fn if isinstance(key_fn, str) else None
 
     @ray.remote(num_returns=num_buckets)
@@ -96,6 +110,8 @@ def _split_refs(
         tbl = tt[0] if len(tt) == 1 else pa.concat_tables(
             tt, promote_options="default"
         )
+        if bucket_col is not None:
+            _check_bucket_ids(tbl[bucket_col], bucket_col, num_buckets)
         if num_buckets == 1:
             return tbl
         if bucket_col is not None:
@@ -104,23 +120,17 @@ def _split_refs(
             b = stable_bucket(_keys_to_numpy(key_fn(tbl)), num_buckets)
         return _split_block(tbl, b, num_buckets)
 
-    mat = ds.materialize()
     s = mat.schema()
     schema = pa.schema(list(zip(s.names, s.types)))
     blocks = mat.to_arrow_refs()
     # chunk blocks into ~2×CPU split tasks: the driver otherwise holds
     # O(blocks × buckets) refs, and >10^5 tiny objects made the 6 s shuffle
     # a 90 s one (measured)
-    import os
-
     try:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         ncpu = 8
-    n_chunks = int(
-        os.environ.get("KGRAY_SPLIT_CHUNKS", 0)
-    ) or max(1, min(len(blocks), 2 * ncpu))
-    n_chunks = min(n_chunks, max(1, len(blocks)))
+    n_chunks = max(1, min(len(blocks), 2 * ncpu))
     chunk_size = (len(blocks) + n_chunks - 1) // n_chunks
     chunks = [
         blocks[i : i + chunk_size] for i in range(0, len(blocks), chunk_size)
@@ -129,243 +139,6 @@ def _split_refs(
     if num_buckets == 1:  # num_returns=1 yields a bare ref
         return [[r] for r in out], schema
     return [list(r) for r in out], schema
-
-
-def _empty_like(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()
-
-
-def bucket_group_apply(
-    ds: ray.data.Dataset,
-    key: str,
-    fn: Callable[[pa.Table], pa.Table],
-    *,
-    num_buckets: int = 64,
-    exchange: str | None = None,
-) -> ray.data.Dataset:
-    """One-shuffle grouped apply: all rows of a key land in one bucket;
-    ``fn(bucket_table)`` runs vectorized per bucket.
-
-    ``exchange`` picks the shuffle medium (default ``$KGRAY_EXCHANGE``,
-    else ``"refs"``):
-
-    - ``"refs"`` — the in-memory split→reduce over object-store refs
-      (fastest single-node; the driver holds O(blocks × buckets) refs,
-      the documented single-node trade).
-    - ``"parquet"`` — parquet-staged exchange (the `upsert_partitioned`
-      medium, VERDICT r4 #8): the input STREAMS through a bucket-
-      stamping ``write_parquet(partition_cols=…)`` (no driver refs, no
-      full materialization in the object store), then one Ray task per
-      bucket reads its directory and applies ``fn``. Survives inputs
-      larger than the object store, resumes inspectable, and is the
-      multi-node swap path — same signature, equivalence-tested."""
-    import os
-
-    exchange = exchange or os.environ.get("KGRAY_EXCHANGE") or "refs"
-    if exchange == "parquet":
-        return _bucket_group_apply_parquet(
-            ds, key, fn, num_buckets=num_buckets
-        )
-    if exchange != "refs":
-        raise ValueError(f"unknown exchange medium: {exchange!r}")
-    ds = ds.materialize()  # no-op for already-materialized inputs
-    if ds.schema() is None:
-        # fully-empty input (Ray reports no schema): the grouped apply
-        # of nothing is nothing — return the empty dataset rather than
-        # crash the splitter; callers needing a TYPED empty must guard
-        # upstream (membership_join/distinct_keys do)
-        return ds
-    per_block, schema = _split_refs(
-        ds, lambda t: t[key].combine_chunks(), num_buckets
-    )
-
-    @ray.remote(num_returns=2)
-    def _reduce(*tables):
-        tt = [t for t in tables if t.num_rows]
-        if not tt:
-            out = fn(schema.empty_table())
-        else:
-            out = fn(pa.concat_tables(tt, promote_options="default"))
-        return out.num_rows, out
-
-    pairs = [
-        _reduce.remote(*[pb[p] for pb in per_block])
-        for p in range(num_buckets)
-    ]
-    return _dataset_from_reduce_pairs(pairs)
-
-
-def _exchange_staging(kind: str):
-    """Fresh staging dir under ``$KGRAY_EXCHANGE_DIR`` (default
-    ``/tmp/kgray_exchange``) — point it at shared storage on a cluster
-    so any node can run any bucket's apply task."""
-    import os
-    import uuid
-    from pathlib import Path
-
-    root = Path(os.environ.get("KGRAY_EXCHANGE_DIR", "/tmp/kgray_exchange"))
-    return root / f"{kind}-{uuid.uuid4().hex[:12]}"
-
-
-def _stage_partitioned(ds, key_fn, num_buckets: int, out_dir) -> "pa.Schema":
-    """Shared staging writer of both parquet exchange media (review r5:
-    the first version existed as two drifting copies): bucket-stamp the
-    RESERVED ``XPART_COL`` (never the house BUCKET_COL — callers
-    legitimately pre-stamp ``_bucket`` in their row schema, and the refs
-    path hands fn those rows UNCHANGED) and hive-write. Returns the
-    ROW schema fn must see per bucket; for a 0-row input (zero files
-    staged) the schema comes from the dataset plan instead — re-running
-    a 0-row plan is cheap and keeps the parquet path alive without
-    falling back to an object-store materialization of the OTHER,
-    possibly oversized side (review r5). ``key_fn``: a column NAME of a
-    precomputed int bucket column in [0, num_buckets), or a callable
-    key extractor whose values hash with the house stable_bucket."""
-    # 0-row sides still need a VISIBLE dir: _read_bucket treats a
-    # missing staging root as "unreachable from this node" and fails
-    # loudly rather than silently reading every bucket as empty
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def _stamp(t: pa.Table) -> pa.Table:
-        if XPART_COL in t.column_names:
-            raise ValueError(
-                f"{XPART_COL!r} is reserved for the parquet exchange"
-            )
-        if not t.num_rows:
-            # Ray emits 0-row blocks as 0-COLUMN tables (see
-            # _split_refs) — t[key] would raise; a lone XPART column
-            # unifies with the stamped schema and writes no file
-            return pa.table({XPART_COL: pa.array([], pa.int32())})
-        if isinstance(key_fn, str):
-            # precomputed int bucket column in [0, num_buckets)
-            b = np.asarray(
-                t[key_fn].to_numpy(zero_copy_only=False), dtype="int32"
-            )
-        else:
-            b = stable_bucket(_keys_to_numpy(key_fn(t)), num_buckets)
-        return t.append_column(XPART_COL, pa.array(b, pa.int32()))
-
-    ds.map_batches(
-        _stamp, batch_format="pyarrow", zero_copy_batch=True
-    ).write_parquet(str(out_dir), partition_cols=[XPART_COL])
-
-    import pyarrow.dataset as pads
-
-    files = sorted(out_dir.rglob("*.parquet"))
-    if files:
-        # file schema excludes the hive partition column — exactly the
-        # pre-stamp row schema, for rebuilding typed empty buckets
-        return pads.dataset(str(files[0])).schema
-    s = ds.schema()  # 0-row side: re-runs a 0-row plan (cheap)
-    if s is None:
-        return None  # fully schema-less empty — caller falls back
-    return pa.schema(list(zip(s.names, s.types)))
-
-
-def _read_bucket(base, k: int, schema: "pa.Schema") -> pa.Table:
-    """One bucket's staged rows, or a TYPED empty. A missing partition
-    dir is only trustworthy as "bucket genuinely empty" if the staging
-    root itself is visible — otherwise (e.g. node-local
-    KGRAY_EXCHANGE_DIR on a multi-node cluster) every bucket would
-    silently read empty and the job would return wrong results instead
-    of failing (review r5)."""
-    import pyarrow.dataset as pads
-
-    d = base / f"{XPART_COL}={k}"
-    if d.exists():
-        return pads.dataset(str(d)).to_table()
-    if not base.exists():
-        raise RuntimeError(
-            f"parquet-exchange staging {base} is not visible from this "
-            "worker — on a multi-node cluster KGRAY_EXCHANGE_DIR must "
-            "point at shared storage"
-        )
-    return schema.empty_table()
-
-
-def _bucket_group_apply_parquet(
-    ds: ray.data.Dataset,
-    key: str,
-    fn: Callable[[pa.Table], pa.Table],
-    *,
-    num_buckets: int,
-) -> ray.data.Dataset:
-    """Parquet-staged grouped apply (see :func:`bucket_group_apply`,
-    ``exchange="parquet"``): bucket-stamp → hive-partitioned staging
-    write → one apply task per bucket directory."""
-    import shutil
-
-    staging = _exchange_staging("bga")
-    try:
-        schema = _stage_partitioned(
-            ds, lambda t: t[key].combine_chunks(), num_buckets, staging
-        )
-        if schema is None:
-            # schema-less fully-empty input: same refs-path guard
-            return bucket_group_apply(
-                ds, key, fn, num_buckets=num_buckets, exchange="refs"
-            )
-
-        @ray.remote(num_returns=2)
-        def _apply(k: int):
-            out = fn(_read_bucket(staging, k, schema))
-            return out.num_rows, out
-
-        pairs = [_apply.remote(k) for k in range(num_buckets)]
-        return _dataset_from_reduce_pairs(pairs)  # barrier: applies done
-    finally:
-        # also on failure — repeated failing runs must not accumulate
-        # full copies of the shuffled input on disk (review r5)
-        shutil.rmtree(staging, ignore_errors=True)
-
-
-def _cobucket_apply_parquet(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    left_bucket,
-    right_bucket,
-    fn: Callable[[pa.Table, pa.Table], pa.Table],
-    *,
-    num_buckets: int,
-) -> ray.data.Dataset:
-    """Parquet-staged co-bucketed apply (see :func:`cobucket_apply`):
-    both sides stream through bucket-stamped hive-partitioned staging
-    writes, then one task per bucket reads its two directories and
-    applies ``fn``. A 0-row side keeps the parquet path (typed empty
-    from its plan schema) — the other side may be the oversized input
-    the medium was chosen for (review r5)."""
-    import shutil
-
-    staging = _exchange_staging("cba")
-    try:
-        schemas = {}
-        for name, ds, key_fn in (
-            ("left", left, left_bucket),
-            ("right", right, right_bucket),
-        ):
-            schemas[name] = _stage_partitioned(
-                ds, key_fn, num_buckets, staging / name
-            )
-        if schemas["left"] is None or schemas["right"] is None:
-            # a schema-less fully-empty side: refs guard
-            return cobucket_apply(
-                left, right, left_bucket, right_bucket, fn,
-                num_buckets=num_buckets, exchange="refs",
-            )
-        l_schema, r_schema = schemas["left"], schemas["right"]
-
-        @ray.remote(num_returns=2)
-        def _apply(k: int):
-            out = fn(
-                _read_bucket(staging / "left", k, l_schema),
-                _read_bucket(staging / "right", k, r_schema),
-            )
-            return out.num_rows, out
-
-        pairs = [_apply.remote(k) for k in range(num_buckets)]
-        return _dataset_from_reduce_pairs(pairs)  # barrier: applies done
-    finally:
-        # also on failure — no staged-input accumulation (review r5)
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _dataset_from_reduce_pairs(pairs) -> ray.data.Dataset:
@@ -386,100 +159,93 @@ def _dataset_from_reduce_pairs(pairs) -> ray.data.Dataset:
     return ray.data.from_arrow_refs(outs)
 
 
-SIDE_COL = "_side"
+def _exchange(
+    sides: list[tuple[ray.data.Dataset, Callable | str]],
+    fn: Callable[..., pa.Table],
+    num_buckets: int,
+) -> ray.data.Dataset:
+    """The one split → reduce shuffle behind both primitives. ``sides``
+    lists ``(dataset, key)`` pairs, ``key`` as in :func:`_split_refs`.
+    Every side is split into ``num_buckets`` buckets by its key; one
+    reduce task per bucket concatenates each side's slices (or builds
+    that side's typed empty) and returns ``fn(*tables)``.
+
+    A side Ray reports without a schema (a fully empty dataset with no
+    typed block) cannot give ``fn`` a typed empty: a one-sided apply of
+    nothing is nothing, so that dataset is returned; on a two-sided
+    apply it raises ``ValueError`` naming the side."""
+    splits = []
+    for i, (ds, key) in enumerate(sides):
+        # each side's split tasks run while the next side materializes
+        mat = ds.materialize()
+        if mat.schema() is None:
+            if len(sides) == 1:
+                return mat
+            raise ValueError(
+                f"cobucket_apply: the {('left', 'right')[i]} side has no "
+                "schema (an empty dataset with no typed block); pass a "
+                "typed empty table"
+            )
+        splits.append(_split_refs(mat, key, num_buckets))
+    schemas = [schema for _, schema in splits]
+    ends = list(accumulate(len(per_task) for per_task, _ in splits))
+    starts = [0] + ends[:-1]
+
+    @ray.remote(num_returns=2)
+    def _reduce(*slices):
+        tables = []
+        for schema, lo, hi in zip(schemas, starts, ends):
+            tt = [t for t in slices[lo:hi] if t.num_rows]
+            tables.append(
+                pa.concat_tables(tt, promote_options="default")
+                if tt
+                else schema.empty_table()
+            )
+        out = fn(*tables)
+        return out.num_rows, out
+
+    pairs = [
+        _reduce.remote(
+            *[refs[b] for per_task, _ in splits for refs in per_task]
+        )
+        for b in range(num_buckets)
+    ]
+    return _dataset_from_reduce_pairs(pairs)
+
+
+def bucket_group_apply(
+    ds: ray.data.Dataset,
+    key: str,
+    fn: Callable[[pa.Table], pa.Table],
+    *,
+    num_buckets: int = 64,
+) -> ray.data.Dataset:
+    """One-shuffle grouped apply: all rows of a key land in one bucket;
+    ``fn(bucket_table)`` runs vectorized per bucket (with a typed empty
+    table for a bucket no row hashed to). A fully empty input that Ray
+    reports without a schema is returned as is; callers needing a TYPED
+    empty must guard upstream (membership_join/distinct_keys do)."""
+    return _exchange(
+        [(ds, lambda t: t[key].combine_chunks())], fn, num_buckets
+    )
 
 
 def cobucket_apply(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
-    left_bucket: Callable[[pa.Table], "pa.Array"],
-    right_bucket: Callable[[pa.Table], "pa.Array"],
+    left_bucket: Callable[[pa.Table], "pa.Array"] | str,
+    right_bucket: Callable[[pa.Table], "pa.Array"] | str,
     fn: Callable[[pa.Table, pa.Table], pa.Table],
     *,
     num_buckets: int = 64,
-    exchange: str | None = None,
 ) -> ray.data.Dataset:
     """Co-partitioned two-sided apply in ONE shuffle (the big–big join
     primitive): both datasets are bucketed on their join key with the same
     stable hash, and ``fn(left_rows, right_rows)`` runs per bucket with
-    all co-keyed rows local.
-
-    ``exchange`` works exactly as in :func:`bucket_group_apply`
-    (``"refs"`` in-memory default / ``"parquet"`` staged exchange,
-    resolved from ``$KGRAY_EXCHANGE``) — both shuffle primitives share
-    the multi-node swap path."""
-    import os
-
-    exchange = exchange or os.environ.get("KGRAY_EXCHANGE") or "refs"
-    if exchange == "parquet":
-        return _cobucket_apply_parquet(
-            left, right, left_bucket, right_bucket, fn,
-            num_buckets=num_buckets,
-        )
-    if exchange != "refs":
-        raise ValueError(f"unknown exchange medium: {exchange!r}")
-    l_blocks, l_schema = _split_refs(left, left_bucket, num_buckets)
-    r_blocks, r_schema = _split_refs(right, right_bucket, num_buckets)
-    nl = len(l_blocks)
-
-    @ray.remote(num_returns=2)
-    def _reduce(nl: int, *tables):
-        lt = [t for t in tables[:nl] if t.num_rows]
-        rt = [t for t in tables[nl:] if t.num_rows]
-        ltbl = (
-            pa.concat_tables(lt, promote_options="default")
-            if lt
-            else l_schema.empty_table()
-        )
-        rtbl = (
-            pa.concat_tables(rt, promote_options="default")
-            if rt
-            else r_schema.empty_table()
-        )
-        out = fn(ltbl, rtbl)
-        return out.num_rows, out
-
-    pairs = [
-        _reduce.remote(
-            nl,
-            *[pb[p] for pb in l_blocks],
-            *[pb[p] for pb in r_blocks],
-        )
-        for p in range(num_buckets)
-    ]
-    return _dataset_from_reduce_pairs(pairs)
-
-
-def with_bucket(
-    ds: ray.data.Dataset, key: str, num_buckets: int
-) -> ray.data.Dataset:
-    """Append a stable hash-bucket column (used by partitioned writes)."""
-
-    def _add(t: pa.Table) -> pa.Table:
-        b = stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)
-        return t.append_column(BUCKET_COL, pa.array(b, pa.int32()))
-
-    return ds.map_batches(_add, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def materialize_compact(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Execute ``ds`` and rebuild it WITHOUT 0-row blocks.
-
-    Ray's native ``groupby().aggregate()`` emits empty partitions as
-    zero-column (schema-less) blocks; one of those surviving a
-    ``materialize()`` makes every downstream consumer see mixed block
-    schemas ("RefBundle with a different schema" — the residual tail of
-    VERDICT r2 #3 inside the iterative CC/BFS loops, where the aggregate
-    output is re-unioned every round). Dropping empties is free here:
-    block row counts are already in the bundle metadata, no block is
-    fetched to the driver."""
-    bundles = list(ds.iter_internal_ref_bundles())
-    refs = [
-        ref
-        for b in bundles
-        for ref, meta in zip(b.block_refs, b.metadata)
-        if (meta.num_rows or 0) > 0
-    ]
-    if not refs:  # keep one (typed or not) empty so the schema survives
-        refs = [b.block_refs[0] for b in bundles if b.block_refs][:1]
-    return ray.data.from_arrow_refs(refs)
+    all co-keyed rows local. Each ``*_bucket`` is a key extractor, or the
+    name of a precomputed bucket-id column (ids outside
+    [0, num_buckets) raise ``ValueError``). Both sides need a schema: a
+    schema-less empty side raises ``ValueError``."""
+    return _exchange(
+        [(left, left_bucket), (right, right_bucket)], fn, num_buckets
+    )

@@ -141,13 +141,6 @@ def extract_for_sf_dir(sf_dir: str) -> ray.data.Dataset:
     return extract_combined(ds, load_aliases(sf_dir))
 
 
-def load_entity_names(sf_dir: str) -> dict[str, str]:
-    ents = pq.read_table(corpus_for_sf_dir(sf_dir) / "entities.parquet")
-    return dict(
-        zip(ents["entity_id"].to_pylist(), ents["canonical_name"].to_pylist())
-    )
-
-
 # ---------------------------------------------------------------------------
 # The stage list run in memory, one materialization per stage per sf_dir
 # per process (stage boundaries are parquet checkpoints in the resumable

@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from .linker import default_pool_size
+
 MEDIA_SCHEMA = pa.schema(
     [
         ("media_id", pa.int64()),
@@ -131,12 +133,14 @@ class PayloadFeaturizer:
 def featurize(
     media: ray.data.Dataset,
     *,
-    concurrency: int = 4,
+    concurrency: int | None = None,
     batch_size: int = 64,
     decoder=None,
 ) -> ray.data.Dataset:
     """Run the featurizer actor pool over a MEDIA_SCHEMA dataset.
-    ``decoder`` injects a real codec (see :class:`PayloadFeaturizer`)."""
+    ``decoder`` injects a real codec (see :class:`PayloadFeaturizer`).
+    The pool defaults to ``default_pool_size()``: a fixed size as large
+    as the session's CPU count starves the read tasks feeding it."""
     kwargs = {}
     if decoder is not None:
         kwargs["fn_constructor_kwargs"] = {"decoder": decoder}
@@ -145,7 +149,7 @@ def featurize(
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=concurrency or default_pool_size(),
         **kwargs,
     )
 

@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 
 from ..functions.decode import assemble_triples, bio_decode, threshold_heads
 from ..functions.text import normalize_surface, split_units, tokenize_with_offsets
-from ..schema import MENTIONS, TRIPLES, mention_id
+from ..schema import TRIPLES, mention_id
 
 # M4 length cap: one mega-turn must not blow up a whole scorer batch
 # (SURVEY §4.3); far above normal turn lengths so clean corpora never split
@@ -302,11 +302,6 @@ class TripleScorer:
             _col(m_ts, t_ts, pa.int64()).cast(pa.timestamp("us")),
         ]
         return pa.Table.from_arrays(arrays, schema=COMBINED)
-
-
-def split_mentions(combined: pa.Table) -> pa.Table:
-    t = combined.filter(pc.equal(combined["kind"], "mention"))
-    return t.select(MENTIONS.names).cast(MENTIONS)
 
 
 def split_triples(combined: pa.Table) -> pa.Table:

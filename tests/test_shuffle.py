@@ -2,8 +2,10 @@
 
 The shuffle is exercised end-to-end by the canonicalization / graph /
 dedup tests; this file pins its boundary behaviors: num_buckets=1 (Ray
-does not unpack a 1-tuple under num_returns=1), empty inputs, and
-key-locality (all rows of one key land in exactly one reduce call).
+does not unpack a 1-tuple under num_returns=1), typed and schema-less
+empty inputs, precomputed bucket columns (kept in fn's rows, range-
+checked), key-locality (all rows of one key land in exactly one reduce
+call), and an input larger than the object store.
 """
 
 import pyarrow as pa
@@ -78,6 +80,44 @@ def test_bucket_group_apply_empty_input(ray_session):
     out = bucket_group_apply(empty, "k", lambda t: t, num_buckets=4)
     assert out.count() == 0
 
+    # a typed 0-row side of a cobucket join reaches fn as a typed empty
+    def _join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return lt.join(rt, keys=["k"], join_type="inner")
+
+    right = _docs(3).map_batches(
+        lambda t: t.rename_columns(["k", "w"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    out = cobucket_apply(
+        empty,
+        right,
+        lambda t: t["k"].combine_chunks(),
+        lambda t: t["k"].combine_chunks(),
+        _join,
+        num_buckets=4,
+    )
+    assert out.count() == 0
+    assert sorted(out.schema().names) == ["k", "v", "w"]
+
+
+def test_parquet_exchange_empty_input_applies_fn(ray_session):
+    """A typed 0-row input must still apply fn: the output carries fn's
+    schema rather than the input's (the former parquet medium returned
+    the input unchanged, which diverged from the refs path)."""
+    empty = ray.data.from_arrow(
+        pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
+    )
+
+    def _proj(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"k": t["k"], "n": pa.array([1] * t.num_rows, pa.int64())}
+        )
+
+    out = bucket_group_apply(empty, "k", _proj, num_buckets=4)
+    assert out.count() == 0
+    assert out.schema().names == ["k", "n"]
+
 
 def test_empty_buckets_dropped_schema_uniform(ray_session):
     """Empty reduce buckets must NOT surface as blocks: Ray's Project
@@ -128,211 +168,16 @@ def test_empty_buckets_dropped_schema_uniform(ray_session):
     assert cschemas == {("k", "v")}
 
 
-def test_parquet_exchange_equivalence_primitive(ray_session, tmp_path,
-                                                monkeypatch):
-    """`exchange="parquet"` (the multi-node swap path, VERDICT r4 #8)
-    must produce exactly the refs-path result: same rows, same key
-    locality, typed empty buckets, staging dir cleaned up."""
-    monkeypatch.setenv("KGRAY_EXCHANGE_DIR", str(tmp_path))
-    seen = []
-
-    def _tag(t: pa.Table) -> pa.Table:
-        if t.num_rows:
-            seen.append(sorted(set(t["k"].to_pylist())))
-        return t
-
-    out = bucket_group_apply(
-        _docs(30), "k", _tag, num_buckets=8, exchange="parquet"
-    )
-    df = out.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
-    ref = (
-        bucket_group_apply(_docs(30), "k", lambda t: t, num_buckets=8)
-        .to_pandas()
-        .sort_values(["k", "v"])
-        .reset_index(drop=True)
-    )
-    assert df.equals(ref)
-    assert not list(tmp_path.glob("bga-*"))  # staging cleaned
-
-
-def test_parquet_exchange_equivalence_ops(ray_session, tmp_path,
-                                          monkeypatch):
-    """Two real operators built on bucket_group_apply — MinHash near-dup
-    pairs and the events rollup — must return identical results under
-    KGRAY_EXCHANGE=parquet (the env flag a multi-node deployment flips
-    without touching call sites)."""
-    import numpy as np
-
-    from joint_entity_and_relation_extraction_ray.stages import dedup
-    from joint_entity_and_relation_extraction_ray.stages.events import (
-        sessionize,
-    )
-
-    rng = np.random.default_rng(7)
-    texts = []
-    for i in range(60):
-        base = " ".join(f"w{rng.integers(0, 40)}" for _ in range(30))
-        texts.append(base)
-        if i % 5 == 0:
-            texts.append(base + " w1")  # near-dup partner
-    docs = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(range(len(texts)), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-    ).repartition(4)
-
-    import datetime as dt
-
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array(
-                    [i % 7 for i in range(200)], pa.int64()
-                ),
-                "ts": pa.array(
-                    [
-                        dt.datetime(2026, 1, 1)
-                        + dt.timedelta(minutes=int(i * 13 % 997))
-                        for i in range(200)
-                    ],
-                    pa.timestamp("us"),
-                ),
-            }
-        )
-    ).repartition(3)
-
-    def _collect(ds):
-        df = ds.to_pandas()
-        return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-    base_pairs = _collect(dedup.minhash_dedup_pairs(docs, threshold=0.5))
-    base_sess = _collect(sessionize(ev, num_buckets=8))
-
-    monkeypatch.setenv("KGRAY_EXCHANGE_DIR", str(tmp_path))
-    monkeypatch.setenv("KGRAY_EXCHANGE", "parquet")
-    pq_pairs = _collect(dedup.minhash_dedup_pairs(docs, threshold=0.5))
-    pq_sess = _collect(sessionize(ev, num_buckets=8))
-
-    assert base_pairs.equals(pq_pairs)
-    assert len(base_pairs) > 0
-    assert base_sess.equals(pq_sess)
-
-
-def test_parquet_exchange_cobucket_equivalence(ray_session, tmp_path,
-                                               monkeypatch):
-    """cobucket_apply under exchange="parquet" must equal the refs path
-    (same join rows, typed empties, staging cleaned) — both shuffle
-    primitives share the multi-node swap path."""
-    monkeypatch.setenv("KGRAY_EXCHANGE_DIR", str(tmp_path))
-
-    def _join(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        return lt.join(rt, keys=["k"], join_type="inner")
-
-    right = _docs(3).map_batches(
-        lambda t: t.rename_columns(["k", "w"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    def _run(exchange):
-        out = cobucket_apply(
-            _docs(12),
-            right,
-            lambda t: t["k"].combine_chunks(),
-            lambda t: t["k"].combine_chunks(),
-            _join,
-            num_buckets=8,
-            exchange=exchange,
-        )
-        df = out.to_pandas()
-        return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-    assert _run("parquet").equals(_run(None))
-    assert not list(tmp_path.glob("cba-*"))  # staging cleaned
-
-    # all-empty left side falls back to the refs path (still correct)
-    empty = ray.data.from_arrow(
-        pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
-    )
-    out = cobucket_apply(
-        empty,
-        right,
-        lambda t: t["k"].combine_chunks(),
-        lambda t: t["k"].combine_chunks(),
-        _join,
-        num_buckets=4,
-        exchange="parquet",
-    )
-    assert out.count() == 0
-
-
-def test_parquet_exchange_empty_input_applies_fn(ray_session, tmp_path,
-                                                 monkeypatch):
-    """A typed 0-row input under exchange="parquet" must still apply fn
-    (falling back to the refs path), matching the refs medium's output
-    SCHEMA — returning the input unchanged diverged the two media
-    (review r5)."""
-    monkeypatch.setenv("KGRAY_EXCHANGE_DIR", str(tmp_path))
-    empty = ray.data.from_arrow(
-        pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
-    )
-
-    def _proj(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"k": t["k"], "n": pa.array([1] * t.num_rows, pa.int64())}
-        )
-
-    out = bucket_group_apply(
-        empty, "k", _proj, num_buckets=4, exchange="parquet"
-    )
-    ref = bucket_group_apply(empty, "k", _proj, num_buckets=4)
-    assert out.count() == 0 == ref.count()
-    assert out.schema().names == ref.schema().names == ["k", "n"]
-
-
-def test_parquet_exchange_cleans_staging_on_failure(ray_session, tmp_path,
-                                                    monkeypatch):
-    """A failing per-bucket fn must not leak the staged shuffle input
-    under $KGRAY_EXCHANGE_DIR (review r5: repeated failing runs used to
-    accumulate full input copies until ENOSPC)."""
-    import pytest
-
-    monkeypatch.setenv("KGRAY_EXCHANGE_DIR", str(tmp_path))
-
-    def _boom(t: pa.Table) -> pa.Table:
-        raise RuntimeError("bucket fn failure")
-
-    with pytest.raises(Exception):
-        bucket_group_apply(
-            _docs(20), "k", _boom, num_buckets=4, exchange="parquet"
-        )
-    assert not list(tmp_path.glob("bga-*"))
-
-
-def test_parquet_exchange_preserves_prestamped_bucket_schema(
-    ray_session, tmp_path, monkeypatch
-):
+def test_parquet_exchange_preserves_prestamped_bucket_schema(ray_session):
     """Ops that PRE-STAMP the house `_bucket` column and pass its NAME
-    as the cobucket key (the fused KG path) must work identically under
-    the parquet medium: the staged exchange partitions on its own
-    reserved `_xpart` column so fn receives the exact refs-path row
-    schema, `_bucket` included (review r5: a second appended `_bucket`
-    broke every fused/canonical op under KGRAY_EXCHANGE=parquet)."""
-    monkeypatch.setenv("KGRAY_EXCHANGE_DIR", str(tmp_path))
+    as the cobucket key (the fused KG path) get their rows unchanged:
+    fn sees `_bucket` and each bucket holds exactly its stamped rows."""
 
     def _mk(n):
-        t = _docs(n)
-        return t.map_batches(
+        return _docs(n).map_batches(
             lambda b: b.append_column(
                 "_bucket",
-                pa.array(
-                    [(len(x) + i) % 4
-                     for i, x in enumerate(b["k"].to_pylist())],
-                    pa.int32(),
-                ),
+                pa.array([v % 4 for v in b["v"].to_pylist()], pa.int32()),
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
@@ -341,35 +186,30 @@ def test_parquet_exchange_preserves_prestamped_bucket_schema(
     def _fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
         # the fused-path convention: fn drops the pre-stamped column
         # itself — it must therefore BE present
+        buckets = set(lt["_bucket"].to_pylist() + rt["_bucket"].to_pylist())
         lt = lt.drop_columns(["_bucket"])
         rt = rt.drop_columns(["_bucket"])
         return pa.table(
             {
+                "n_buckets": pa.array([len(buckets)], pa.int64()),
                 "n_l": pa.array([lt.num_rows], pa.int64()),
                 "n_r": pa.array([rt.num_rows], pa.int64()),
             }
         )
 
-    def _run(exchange):
-        out = cobucket_apply(
-            _mk(20), _mk(12), "_bucket", "_bucket", _fn,
-            num_buckets=4, exchange=exchange,
-        )
-        df = out.to_pandas()
-        return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-    assert _run("parquet").equals(_run(None))
+    out = cobucket_apply(
+        _mk(20), _mk(12), "_bucket", "_bucket", _fn, num_buckets=4
+    )
+    rows = sorted(out.to_pandas().itertuples(index=False, name=None))
+    assert rows == [(1, 5, 3)] * 4
 
 
-def test_parquet_exchange_schemaless_empty_blocks(ray_session, tmp_path,
-                                                  monkeypatch):
+def test_parquet_exchange_schemaless_empty_blocks(ray_session):
     """Ray represents 0-row blocks as 0-COLUMN tables (the groupby-
-    aggregate artifact _split_refs defends against): the parquet stamp
-    must pass them through as an XPART-only empty instead of raising
-    KeyError on the missing key column (review r5)."""
+    aggregate artifact): a schema-less empty block beside typed data
+    must pass through the split without a KeyError on the key column."""
     import ray
 
-    monkeypatch.setenv("KGRAY_EXCHANGE_DIR", str(tmp_path))
     data = pa.table(
         {
             "k": pa.array(["a", "b", "a", "c"], pa.string()),
@@ -379,8 +219,139 @@ def test_parquet_exchange_schemaless_empty_blocks(ray_session, tmp_path,
     mixed = ray.data.from_arrow_refs(
         [ray.put(data), ray.put(pa.table({}))]  # one schema-less empty
     )
-    out = bucket_group_apply(
-        mixed, "k", lambda t: t, num_buckets=4, exchange="parquet"
-    )
+    out = bucket_group_apply(mixed, "k", lambda t: t, num_buckets=4)
     df = out.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     assert list(df["v"]) == [1, 3, 2, 4]
+
+
+def test_cobucket_apply_rejects_out_of_range_bucket_ids(ray_session):
+    """A precomputed bucket column with ids outside [0, num_buckets)
+    (or null) raises instead of silently dropping those rows."""
+    import pytest
+
+    def _stamped(ids):
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "_bucket": pa.array(ids, pa.int32()),
+                    "v": pa.array(range(len(ids)), pa.int64()),
+                }
+            )
+        )
+
+    def _fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return lt
+
+    ok = _stamped([0, 3, 1])
+    assert cobucket_apply(
+        ok, ok, "_bucket", "_bucket", _fn, num_buckets=4
+    ).count() == 3
+    for bad in ([0, 9, -1], [0, 4], [-1], [0, None]):
+        with pytest.raises(ValueError, match="_bucket"):
+            cobucket_apply(
+                _stamped(bad), ok, "_bucket", "_bucket", _fn, num_buckets=4
+            )
+    # num_buckets=1 keeps its bare-ref path and the same check
+    with pytest.raises(ValueError, match="_bucket"):
+        cobucket_apply(
+            _stamped([0, 1]), ok, "_bucket", "_bucket", _fn, num_buckets=1
+        )
+
+
+def test_schemaless_empty_side(ray_session):
+    """A dataset Ray reports without a schema: the grouped apply of it
+    returns it (empty), a cobucket join raises naming the side."""
+    import pytest
+    import ray
+
+    def _none():
+        return ray.data.from_arrow_refs([ray.put(pa.table({}))])
+
+    assert _none().schema() is None
+    assert bucket_group_apply(_none(), "k", lambda t: t).count() == 0
+
+    def _key(t):
+        return t["k"].combine_chunks()
+
+    def _fn(lt, rt):
+        return lt
+
+    with pytest.raises(ValueError, match="left side"):
+        cobucket_apply(_none(), _docs(4), _key, _key, _fn, num_buckets=4)
+    with pytest.raises(ValueError, match="right side"):
+        cobucket_apply(_docs(4), _none(), _key, _key, _fn, num_buckets=4)
+
+
+_SPILL_PROBE = """
+import json, pathlib, sys
+
+import numpy as np
+import pyarrow as pa
+import ray
+
+tmp = sys.argv[1]
+ray.init(address="local", num_cpus=2, object_store_memory=100 * 2**20,
+         include_dashboard=False, logging_level="ERROR", _temp_dir=tmp)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from joint_entity_and_relation_extraction_ray.functions.shuffle import (
+    bucket_group_apply,
+)
+
+
+@ray.remote
+def _block(i):
+    n = 500_000
+    return pa.table({"k": np.arange(n, dtype=np.int64) % 1000,
+                     "v": np.ones(n, dtype=np.int64)})
+
+
+# 40 blocks x 8 MB = 320 MB through a 100 MiB object store
+ds = ray.data.from_arrow_refs([_block.remote(i) for i in range(40)])
+out = bucket_group_apply(
+    ds, "k", lambda t: t.group_by("k").aggregate([("v", "sum")]),
+    num_buckets=8,
+).to_pandas()
+spilled = sum(
+    p.stat().st_size
+    for p in pathlib.Path(tmp).glob("session_*/ray_spilled_objects_*/*")
+)
+print(json.dumps({"keys": int(out["k"].nunique()), "rows": len(out),
+                  "total": int(out["v_sum"].sum()), "spilled": spilled}))
+ray.shutdown()
+"""
+
+
+def test_exchange_spills_past_object_store():
+    """The shuffle's input may exceed the object store: a fresh Ray
+    session with a 100 MiB store runs a grouped sum over 320 MB and
+    gets exact results, Ray spilling the overflow to disk."""
+    import json
+    import os
+    import shutil
+    import subprocess
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[1]
+    # a short session dir: Ray's socket paths must stay under 107 bytes
+    tmp = tempfile.mkdtemp(prefix="kgspill-")
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", _SPILL_PROBE, tmp],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            cwd=repo,
+            env=dict(os.environ, PYTHONPATH=str(repo)),
+        )
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+    # Ray's own warnings can reach stdout after the result line
+    res = json.loads(
+        [ln for ln in out.stdout.splitlines() if ln.startswith("{")][-1]
+    )
+    assert res["keys"] == res["rows"] == 1000
+    assert res["total"] == 20_000_000
+    assert res["spilled"] > 100 * 2**20
