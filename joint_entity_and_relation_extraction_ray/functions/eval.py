@@ -38,7 +38,8 @@ def prf_counts_by(
     appear, with tp=0)."""
     from ray.data.aggregate import Count, Sum
 
-    assert by in keys, f"{by!r} not in eval keys {keys}"
+    if by not in keys:
+        raise ValueError(f"{by!r} not in eval keys {keys}")
     p = _distinct_on(pred, keys).materialize()
     g = _distinct_on(gold, keys).materialize()
     tp = join_auto(p, g, on=tuple(keys))

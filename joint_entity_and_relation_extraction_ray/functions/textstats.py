@@ -431,7 +431,8 @@ def hash_features(batch: pa.Table, *, k: int = 8) -> pa.Table:
     """
     import hashlib
 
-    assert 16 % k == 0, "k must divide 16 (range-split of one hex digit)"
+    if 16 % k:
+        raise ValueError("k must divide 16 (range-split of one hex digit)")
     span = 16 // k
     hexpos = "0123456789abcdef"
     memo: dict[str, tuple[int, int]] = {}

@@ -166,25 +166,36 @@ def stage(sf_dir: str, name: str) -> ray.data.Dataset:
     Stages: combined | mentions | triples | linked | tagged | labels |
     canon | rewritten | edges | nodes.
     """
-    key = (sf_dir, name)
-    if key in _STAGE_CACHE:
-        return _STAGE_CACHE[key]
+    if (sf_dir, name) in _STAGE_CACHE:
+        return _STAGE_CACHE[(sf_dir, name)]
     from .run import kg_stages
 
     corpus = corpus_for_sf_dir(sf_dir)
-    stages = kg_stages(
-        str(corpus / "transcripts"),
-        str(corpus / "aliases.parquet"),
-        str(corpus / "entities.parquet"),
-    )
-    st = next((s for s in stages if s.name == name), None)
-    if st is None:
-        raise ValueError(f"unknown stage {name!r}")
-    ds = st.apply({d: stage(sf_dir, d) for d in st.deps}, {}).materialize()
-    if st.output_schema is not None:
-        check_output_schema(ds, st.output_schema, name)
-    _STAGE_CACHE[key] = ds
-    return ds
+    # one stage list per call: building it reads the alias/entity tables
+    # and digests every transcript file
+    stages = {
+        s.name: s
+        for s in kg_stages(
+            str(corpus / "transcripts"),
+            str(corpus / "aliases.parquet"),
+            str(corpus / "entities.parquet"),
+        )
+    }
+
+    def _get(n: str) -> ray.data.Dataset:
+        key = (sf_dir, n)
+        if key in _STAGE_CACHE:
+            return _STAGE_CACHE[key]
+        st = stages.get(n)
+        if st is None:
+            raise ValueError(f"unknown stage {n!r}")
+        ds = st.apply({d: _get(d) for d in st.deps}, {}).materialize()
+        if st.output_schema is not None:
+            check_output_schema(ds, st.output_schema, n)
+        _STAGE_CACHE[key] = ds
+        return ds
+
+    return _get(name)
 
 
 def run_kg(sf_dir: str, out_dir: str | None = None) -> dict[str, ray.data.Dataset]:

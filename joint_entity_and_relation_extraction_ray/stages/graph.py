@@ -1362,6 +1362,316 @@ def effective_diameter(
     )
 
 
+# ---------------------------------------------------------------------------
+# The undirected simple graph core, written once for every operator that
+# runs over the undirected simple KG: canonical pairs → simple-edge dedup →
+# degrees → degree-ordered orientation → per-source wedges → triangle
+# support. Keys are ``x␀y`` strings (NUL cannot occur in an entity id).
+# ---------------------------------------------------------------------------
+
+_SEP = "\x00"
+
+
+def _canon_block(t: pa.Table, carry: dict):
+    """Per-block canonical pairs ``a < b`` (self-loops dropped), distinct
+    per block; each ``carry`` column ``name: (expr, "min"|"max")`` is
+    reduced per pair."""
+    import polars as pl
+
+    need = {"subj_id", "obj_id"}.union(
+        *(e.meta.root_names() for e, _ in carry.values())
+    )
+    pairs = (
+        pl.from_arrow(t.select(sorted(need)))
+        .filter(pl.col("subj_id") != pl.col("obj_id"))
+        .select(
+            a=pl.min_horizontal("subj_id", "obj_id"),
+            b=pl.max_horizontal("subj_id", "obj_id"),
+            **{c: e for c, (e, _) in carry.items()},
+        )
+    )
+    return _reduce_pairs(pairs, ["a", "b"], carry)
+
+
+def _reduce_pairs(df, keys: list, carry: dict):
+    """Distinct ``keys`` rows of a polars frame, each ``carry`` column
+    reduced by its aggregate."""
+    import polars as pl
+
+    if not carry:
+        return df.unique(subset=keys)
+    return df.group_by(keys).agg(
+        getattr(pl.col(c), how)() for c, (_, how) in carry.items()
+    )
+
+
+def _undirected(
+    edges: ray.data.Dataset, num_buckets: int, **carry
+) -> ray.data.Dataset:
+    """The undirected simple graph under a KG edge table — rows ``(a, b,
+    key = a␀b)`` with ``a < b``, each pair once: self-loops dropped, one
+    per-block distinct, then one key-bucketed dedup shuffle. Each
+    ``carry`` column ``name=(polars expr over the edge row, "min" |
+    "max")`` rides along, reduced by its aggregate per block and again at
+    the merge (a per-bit max is a bit-OR)."""
+    import polars as pl
+
+    from ..functions.shuffle import bucket_group_apply
+
+    def _canon(t: pa.Table) -> pa.Table:
+        return (
+            _canon_block(t, carry)
+            .with_columns(key=pl.col("a") + pl.lit(_SEP) + pl.col("b"))
+            .to_arrow()
+        )
+
+    def _merge(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return t
+        return (
+            _reduce_pairs(pl.from_arrow(t), ["a", "b", "key"], carry)
+            .select(t.column_names)
+            .to_arrow()
+        )
+
+    return bucket_group_apply(
+        edges.map_batches(_canon, batch_format="pyarrow", zero_copy_batch=True),
+        "key",
+        _merge,
+        num_buckets=num_buckets,
+    )
+
+
+def _symmetric(edges: ray.data.Dataset) -> ray.data.Dataset:
+    """Per-block distinct canonical pairs emitted in both directions as
+    ``(src, dst)`` — no shuffle: consumers that bucket by an endpoint
+    dedup the cross-block repeats in their own reducer."""
+    import polars as pl
+
+    def _sym(t: pa.Table) -> pa.Table:
+        und = _canon_block(t, {})
+        return pl.concat(
+            [
+                und.select(src=pl.col("a"), dst=pl.col("b")),
+                und.select(src=pl.col("b"), dst=pl.col("a")),
+            ]
+        ).to_arrow()
+
+    return edges.map_batches(_sym, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _degrees(und: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:
+    """Vertex degrees ``(v, deg)`` of an :func:`_undirected` edge set by
+    the decomposable combiner: explode endpoints → per-block counts →
+    one small vertex-bucketed sum."""
+    import polars as pl
+
+    from ..functions.shuffle import bucket_group_apply
+
+    def _partial(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t.select(["a", "b"]))
+        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
+        return (
+            v.group_by("v").agg(pl.len().cast(pl.Int64).alias("deg")).to_arrow()
+        )
+
+    def _sum(t: pa.Table) -> pa.Table:
+        return pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
+
+    return bucket_group_apply(
+        und.map_batches(_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "v",
+        _sum,
+        num_buckets=min(num_buckets, 16),
+    )
+
+
+def _with_degrees(
+    und: ray.data.Dataset, deg: ray.data.Dataset
+) -> ray.data.Dataset:
+    """``und`` plus ``deg_a``/``deg_b``: the degree table joined onto both
+    endpoints through ``join_auto`` (broadcast under the guard, shuffle
+    hash join above it — |deg| = |V| rows, no driver collect)."""
+    for end in ("a", "b"):
+        und = join_auto(
+            und,
+            deg.map_batches(
+                lambda t, e=end: t.rename_columns([e, f"deg_{e}"]),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            ),
+            on=(end,),
+        )
+    return und
+
+
+def _oriented(
+    und: ray.data.Dataset, deg: ray.data.Dataset, *carry: str
+) -> ray.data.Dataset:
+    """Every undirected edge oriented from its lower-(degree, id)
+    endpoint — rows ``(src, dst, dst_deg, key = src␀dst)`` plus the
+    ``carry`` columns of ``und``.
+
+    This is the hub-skew bound of every wedge operator: a vertex of
+    degree d keeps d⁺ ≤ d out-neighbors, each of degree ≥ d, so
+    d⁺·d ≤ 2m and d⁺ ≤ min(d, 2m/d) ≤ √(2m) — every out-neighborhood is
+    O(√m), however skewed the degrees. Wedge volume is then
+    Σ d⁺(v)² = O(m·√m), and the only partitioning assumption left is
+    "one source's oriented out-edges fit in a reducer", which holds for
+    any graph with m ≪ reducer-memory²."""
+    import polars as pl
+
+    def _orient(t: pa.Table) -> pa.Table:
+        a_first = (pl.col("deg_a") < pl.col("deg_b")) | (
+            (pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b"))
+        )
+
+        def pick(x, y):
+            return pl.when(a_first).then(pl.col(x)).otherwise(pl.col(y))
+
+        return (
+            pl.from_arrow(t)
+            .select(
+                pick("a", "b").alias("src"),
+                pick("b", "a").alias("dst"),
+                pick("deg_b", "deg_a").alias("dst_deg"),
+                *carry,
+            )
+            .with_columns(key=pl.col("src") + pl.lit(_SEP) + pl.col("dst"))
+            .to_arrow()
+        )
+
+    return _with_degrees(und, deg).map_batches(
+        _orient, batch_format="pyarrow", zero_copy_batch=True
+    )
+
+
+def _wedges(
+    oriented: ray.data.Dataset, num_buckets: int, cols: list
+) -> ray.data.Dataset:
+    """Degree-ordered wedges of an :func:`_oriented` edge set, generated
+    per source inside one src-bucketed shuffle: for source ``s`` every
+    pair of out-neighbors ``lo``, ``hi`` with ``lo`` before ``hi`` in
+    (deg, id) rank. Each triangle is therefore generated exactly once,
+    at its minimum-rank vertex, and its closing edge is the oriented
+    edge ``key = lo␀hi``.
+
+    Emits only ``cols`` out of ``s``, ``lo``, ``hi``, ``key`` and, for
+    each carried column ``c`` of ``oriented``, ``c_lo`` / ``c_hi`` (its
+    value on the s–lo / s–hi edge) — a caller's closing join moves
+    nothing it does not use."""
+    import numpy as np
+    import polars as pl
+
+    from ..functions.shuffle import bucket_group_apply
+
+    carried = sorted({c[:-3] for c in cols if c[-3:] in ("_lo", "_hi")})
+
+    def _gen(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t.select(["src", "dst", "dst_deg", *carried])).sort(
+            ["src", "dst_deg", "dst"]
+        )
+        src = df["src"].to_numpy()
+        starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+        ends = np.r_[starts[1:], len(src)]
+        ii, jj = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for s, e in zip(starts, ends):  # O(#groups); pair-gen is numpy
+            if e - s >= 2:
+                i, j = np.triu_indices(e - s, 1)
+                ii.append(i + s)
+                jj.append(j + s)
+        i, j = np.concatenate(ii), np.concatenate(jj)
+        out = {
+            "s": df["src"].gather(i),
+            "lo": df["dst"].gather(i),
+            "hi": df["dst"].gather(j),
+        }
+        for c in carried:
+            out[f"{c}_lo"] = df[c].gather(i)
+            out[f"{c}_hi"] = df[c].gather(j)
+        return (
+            pl.DataFrame(out)
+            .with_columns(key=pl.col("lo") + pl.lit(_SEP) + pl.col("hi"))
+            .select(cols)
+            .to_arrow()
+        )
+
+    return bucket_group_apply(oriented, "src", _gen, num_buckets=num_buckets)
+
+
+def _credit(t: pa.Table) -> pa.Table:
+    """A closed wedge ``(s, lo, hi)`` is a triangle: credit each of its
+    three edges once, under the canonical ``min␀max`` key of
+    :func:`_undirected` — per-block partial counts ``(key, sup)``."""
+    import polars as pl
+
+    df = pl.from_arrow(t.select(["s", "lo", "hi"]))
+
+    def ck(x, y):
+        return (
+            pl.min_horizontal(x, y) + pl.lit(_SEP) + pl.max_horizontal(x, y)
+        ).alias("key")
+
+    keys = pl.concat(
+        [df.select(ck(x, y)) for x, y in (("s", "lo"), ("s", "hi"), ("lo", "hi"))]
+    )
+    return (
+        keys.group_by("key").agg(pl.len().cast(pl.Int64).alias("sup")).to_arrow()
+    )
+
+
+def _typed(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
+    """``ds``, or an empty table of ``schema`` when ``ds`` has no rows and
+    no schema — a semi join that keeps no wedge of a triangle-free graph
+    yields no block at all, and a following join needs its columns."""
+    if ds.schema() is not None:
+        return ds
+    return ray.data.from_arrow(schema.empty_table())
+
+
+def _closed_wedges(
+    oriented: ray.data.Dataset, num_buckets: int, cols: list
+) -> ray.data.Dataset:
+    """The :func:`_wedges` (``cols``, which must include ``key``) whose
+    closing edge exists — one row per triangle: a semi join of the wedge
+    keys against the oriented edge keys (broadcast under the guard,
+    co-bucketed above it). ``oriented`` is read twice, so callers pass it
+    materialized."""
+    from .relational import membership_join
+
+    return membership_join(
+        _wedges(oriented, num_buckets, cols),
+        oriented.select_columns(["key"]),
+        on="key",
+        num_buckets=num_buckets,
+    )
+
+
+def _triangle_support(
+    und: ray.data.Dataset, num_buckets: int
+) -> ray.data.Dataset:
+    """Per-edge triangle support ``(key, sup)`` of an :func:`_undirected`
+    edge set (edges in no triangle are absent): each closed wedge
+    credits its three edges, then one key-bucketed sum."""
+    import polars as pl
+
+    from ..functions.shuffle import bucket_group_apply
+
+    oriented = _oriented(und, _degrees(und, num_buckets)).materialize()
+    closed = _closed_wedges(oriented, num_buckets, ["key", "s", "lo", "hi"])
+    support = bucket_group_apply(
+        closed.map_batches(_credit, batch_format="pyarrow", zero_copy_batch=True),
+        "key",
+        lambda t: (
+            pl.from_arrow(t).group_by("key").agg(pl.col("sup").sum()).to_arrow()
+        ),
+        num_buckets=num_buckets,
+    )
+    return _typed(
+        support, pa.schema([("key", pa.large_string()), ("sup", pa.int64())])
+    )
+
+
 def triangle_count(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -1370,157 +1680,13 @@ def triangle_count(
     distributed algorithm (one row: ``n_triangles``).
 
     Pipeline (all on the house shuffle, never an all-pairs join):
-
-    1. canonicalize to undirected simple edges ``a < b`` (self-loops
-       dropped), per-block distinct → one key-bucketed dedup shuffle;
-    2. degrees via the decomposable combiner (explode endpoints →
-       per-block counts → tiny vertex-bucketed sum);
-    3. orient every edge from its lower-(degree, id) endpoint — the
-       classic trick that bounds every out-neighborhood by O(√m), so
-       hub vertices cannot go quadratic;
-    4. per-source wedge generation inside one src-bucketed shuffle
-       (pairs of out-neighbors, emitted in rank order — each triangle
-       is generated exactly once, at its minimum-rank vertex);
-    5. a semi join of wedges against the oriented edge set (broadcast
-       under the guard, co-bucketed above it) counts the closures.
-
-    Wedge volume is Σ deg⁺(v)² ≤ m·√m after orientation — the
-    documented partitioning assumption is only "one source's oriented
-    out-edges fit in a reducer", which step 3 guarantees for any graph
-    with m ≪ reducer-memory²."""
-    import numpy as np
-    import polars as pl
-
-    from ..functions.shuffle import bucket_group_apply
-    from .relational import membership_join
-
-    SEP = "\x00"
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        out = (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-            .with_columns(
-                key=pl.col("a") + pl.lit(SEP) + pl.col("b")
-            )
-        )
-        return out.to_arrow()
-
-    def _uniq(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).unique(subset=["key"]).to_arrow()
-
-    und = bucket_group_apply(
-        edges.map_batches(_canon, batch_format="pyarrow", zero_copy_batch=True),
-        "key",
-        _uniq,
-        num_buckets=num_buckets,
-    ).materialize()
-
-    # degrees: per-block partial counts per vertex -> tiny bucketed sum
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat(
-            [df.select(v=pl.col("a")), df.select(v=pl.col("b"))]
-        )
-        return v.group_by("v").agg(pl.len().cast(pl.Int64).alias("deg")).to_arrow()
-
-    def _deg_sum(t: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
-        )
-
-    deg = bucket_group_apply(
-        und.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "v",
-        _deg_sum,
-        num_buckets=min(num_buckets, 16),
-    )
-
-    # orient each edge low-rank -> high-rank, rank = (deg, id);
-    # both joins go through join_auto (broadcast under the guard,
-    # shuffle hash join above it — |deg| = |V| rows, no driver collect)
-    da = deg.map_batches(
-        lambda t: t.rename_columns(["a", "deg_a"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    db = deg.map_batches(
-        lambda t: t.rename_columns(["b", "deg_b"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    withdeg = join_auto(
-        join_auto(und, da, on=("a",)), db, on=("b",)
-    )
-
-    def _orient(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        a_first = (pl.col("deg_a") < pl.col("deg_b")) | (
-            (pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b"))
-        )
-        out = df.select(
-            src=pl.when(a_first).then(pl.col("a")).otherwise(pl.col("b")),
-            dst=pl.when(a_first).then(pl.col("b")).otherwise(pl.col("a")),
-            src_deg=pl.when(a_first)
-            .then(pl.col("deg_a"))
-            .otherwise(pl.col("deg_b")),
-            dst_deg=pl.when(a_first)
-            .then(pl.col("deg_b"))
-            .otherwise(pl.col("deg_a")),
-        ).with_columns(key=pl.col("src") + pl.lit(SEP) + pl.col("dst"))
-        return out.to_arrow()
-
-    oriented = withdeg.map_batches(
-        _orient, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    # wedges: per-src pairs of out-neighbors, in rank order — each
-    # triangle generated exactly once (at its min-rank vertex)
-    def _wedges(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.string())})
-        df = pl.from_arrow(t.select(["src", "dst", "dst_deg"])).sort(
-            ["src", "dst_deg", "dst"]
-        )
-        src = df["src"].to_numpy()
-        dst = df["dst"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate(([True], src[1:] != src[:-1]))
-        )
-        ends = np.concatenate((starts[1:], [len(src)]))
-        los, his = [], []
-        for s, e in zip(starts, ends):  # O(#groups); pair-gen is numpy
-            k = e - s
-            if k < 2:
-                continue
-            i, j = np.triu_indices(k, 1)
-            los.append(dst[s:e][i])
-            his.append(dst[s:e][j])
-        if not los:
-            return pa.table({"key": pa.array([], pa.string())})
-        lo = pa.array(np.concatenate(los), pa.string())
-        hi = pa.array(np.concatenate(his), pa.string())
-        return pa.table(
-            {"key": pc.binary_join_element_wise(lo, hi, SEP)}
-        )
-
-    wedges = bucket_group_apply(
-        oriented, "src", _wedges, num_buckets=num_buckets
-    )
-    closed = membership_join(
-        wedges,
-        oriented.select_columns(["key"]),
-        on="key",
-        num_buckets=num_buckets,
-    )
-    n = closed.count()
+    :func:`_undirected` simple edges → :func:`_degrees` →
+    :func:`_oriented` (the O(√m) hub bound) → :func:`_closed_wedges`,
+    each triangle generated once at its min-rank vertex and moving only
+    its key through the closing semi join."""
+    und = _undirected(edges, num_buckets).materialize()
+    oriented = _oriented(und, _degrees(und, num_buckets)).materialize()
+    n = _closed_wedges(oriented, num_buckets, ["key"]).count()
     return ray.data.from_arrow(
         pa.table({"n_triangles": pa.array([n], pa.int64())})
     )
@@ -1533,56 +1699,17 @@ def degree_histogram(
     KG edge table — rows ``(deg, n_nodes)``: how many vertices have each
     degree (the first thing anyone plots about a graph).
 
-    Same canonicalize→dedup front as :func:`triangle_count` (per-block
-    distinct (a<b) pairs, one key-bucketed dedup shuffle), then two
-    decomposable combiner aggregates: endpoints → per-block vertex
-    counts → vertex-bucketed sum = degrees; degrees → per-block degree
-    counts → tiny degree-bucketed sum. Raw edges shuffle once (the dedup
-    floor); everything downstream moves combiner partials only."""
+    :func:`_undirected` → :func:`_degrees`, then one more decomposable
+    combiner aggregate: degrees → per-block degree counts → tiny
+    degree-bucketed sum. Raw edges shuffle once (the dedup floor);
+    everything downstream moves combiner partials only."""
     import polars as pl
 
     from ..functions.shuffle import bucket_group_apply
 
-    SEP = "\x00"
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
+    def _hist_partial(t: pa.Table) -> pa.Table:
         return (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-            .with_columns(key=pl.col("a") + pl.lit(SEP) + pl.col("b"))
-            .to_arrow()
-        )
-
-    def _uniq(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).unique(subset=["key"]).to_arrow()
-
-    und = bucket_group_apply(
-        edges.map_batches(
-            _canon, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "key",
-        _uniq,
-        num_buckets=num_buckets,
-    )
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
-        return (
-            v.group_by("v").agg(pl.len().cast(pl.Int64).alias("deg"))
-            .to_arrow()
-        )
-
-    def _deg_sum(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        return (
-            df.group_by("v")
-            .agg(pl.col("deg").sum())
+            pl.from_arrow(t)
             .group_by("deg")
             .agg(pl.len().cast(pl.Int64).alias("n_nodes"))
             .to_arrow()
@@ -1596,15 +1723,11 @@ def degree_histogram(
             .to_arrow()
         )
 
-    per_vertex = bucket_group_apply(
-        und.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "v",
-        _deg_sum,
-        num_buckets=min(num_buckets, 16),
+    per_vertex = _degrees(_undirected(edges, num_buckets), num_buckets)
+    partials = per_vertex.map_batches(
+        _hist_partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    return bucket_group_apply(per_vertex, "deg", _hist_sum, num_buckets=4)
+    return bucket_group_apply(partials, "deg", _hist_sum, num_buckets=4)
 
 
 def bfs_distances(
@@ -1853,37 +1976,19 @@ def common_neighbor_counts(
     predictor. Rows ``(u, v, n_common)`` with ``u < v`` and
     ``n_common ≥ min_common``.
 
-    Wedge counting at the shared neighbor: symmetrized distinct edges
+    Wedge counting at the shared neighbor: :func:`_symmetric` edges
     bucket by the hop vertex, each hop's neighbor list self-joins
     vectorized (pairs per hop = C(deg, 2) — the output's own lower
     bound; a degree-capped variant is the documented hub mitigation,
-    same as triangle_count's orientation), per-pair partials merge in a
+    cf. :func:`_oriented`), per-pair partials merge in a
     tiny second shuffle and the ``min_common`` filter applies there."""
     import polars as pl
 
     from ..functions.shuffle import bucket_group_apply
 
-    def _sym(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        und = df.filter(pl.col("subj_id") != pl.col("obj_id")).select(
-            a=pl.min_horizontal("subj_id", "obj_id"),
-            b=pl.max_horizontal("subj_id", "obj_id"),
-        ).unique()
-        return (
-            pl.concat(
-                [
-                    und.select(src=pl.col("a"), dst=pl.col("b")),
-                    und.select(src=pl.col("b"), dst=pl.col("a")),
-                ]
-            )
-            .to_arrow()
-        )
+    sym = _symmetric(edges)
 
-    sym = edges.map_batches(
-        _sym, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def _wedges(t: pa.Table) -> pa.Table:
+    def _hop_pairs(t: pa.Table) -> pa.Table:
         # bucket key = dst (the shared neighbor); dedup (src, dst) pairs
         # that arrived from different blocks first
         df = pl.from_arrow(t).unique()
@@ -1897,7 +2002,7 @@ def common_neighbor_counts(
             .to_arrow()
         )
 
-    per_hop = bucket_group_apply(sym, "dst", _wedges, num_buckets=num_buckets)
+    per_hop = bucket_group_apply(sym, "dst", _hop_pairs, num_buckets=num_buckets)
 
     def _merge(t: pa.Table) -> pa.Table:
         return (
@@ -1940,27 +2045,9 @@ def adamic_adar(
 
     from ..functions.shuffle import bucket_group_apply
 
-    def _sym(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        und = df.filter(pl.col("subj_id") != pl.col("obj_id")).select(
-            a=pl.min_horizontal("subj_id", "obj_id"),
-            b=pl.max_horizontal("subj_id", "obj_id"),
-        ).unique()
-        return (
-            pl.concat(
-                [
-                    und.select(src=pl.col("a"), dst=pl.col("b")),
-                    und.select(src=pl.col("b"), dst=pl.col("a")),
-                ]
-            )
-            .to_arrow()
-        )
+    sym = _symmetric(edges)
 
-    sym = edges.map_batches(
-        _sym, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def _wedges(t: pa.Table) -> pa.Table:
+    def _hop_pairs(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t).unique()
         deg = df.group_by("dst").agg(pl.len().cast(pl.Int64).alias("deg"))
         # polars .log() is bitwise libm ln on this platform (verified in
@@ -1991,7 +2078,7 @@ def adamic_adar(
             .to_arrow()
         )
 
-    per_hop = bucket_group_apply(sym, "dst", _wedges, num_buckets=num_buckets)
+    per_hop = bucket_group_apply(sym, "dst", _hop_pairs, num_buckets=num_buckets)
 
     def _merge(t: pa.Table) -> pa.Table:
         return (
@@ -2018,164 +2105,23 @@ def node_clustering(
     (emitted as integers so the oracle compare is float-free; nodes
     with no triangles appear with 0).
 
-    Same degree-ordered wedge machinery as :func:`triangle_count` —
-    every out-neighborhood is O(√m) after orientation — except each
+    The :func:`_closed_wedges` of :func:`triangle_count`, except each
     closed wedge is exploded to its THREE corners (a triangle counts
     once per corner), reduced by per-block combiners before one
     node-bucketed merge, then left-joined onto the degree table."""
-    import numpy as np
     import polars as pl
 
     from ..functions.shuffle import bucket_group_apply
-    from .relational import membership_join
 
-    SEP = "\x00"
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        return (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-            .with_columns(key=pl.col("a") + pl.lit(SEP) + pl.col("b"))
-            .to_arrow()
-        )
-
-    def _uniq(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).unique(subset=["key"]).to_arrow()
-
-    und = bucket_group_apply(
-        edges.map_batches(
-            _canon, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "key",
-        _uniq,
-        num_buckets=num_buckets,
-    ).materialize()
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
-        return (
-            v.group_by("v")
-            .agg(pl.len().cast(pl.Int64).alias("deg"))
-            .to_arrow()
-        )
-
-    def _deg_sum(t: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
-        )
-
-    deg = bucket_group_apply(
-        und.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "v",
-        _deg_sum,
-        num_buckets=min(num_buckets, 16),
-    ).materialize()
-
-    da = deg.map_batches(
-        lambda t: t.rename_columns(["a", "deg_a"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    db = deg.map_batches(
-        lambda t: t.rename_columns(["b", "deg_b"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    withdeg = join_auto(join_auto(und, da, on=("a",)), db, on=("b",))
-
-    def _orient(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        a_first = (pl.col("deg_a") < pl.col("deg_b")) | (
-            (pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b"))
-        )
-        return (
-            df.select(
-                src=pl.when(a_first).then(pl.col("a")).otherwise(pl.col("b")),
-                dst=pl.when(a_first).then(pl.col("b")).otherwise(pl.col("a")),
-                dst_deg=pl.when(a_first)
-                .then(pl.col("deg_b"))
-                .otherwise(pl.col("deg_a")),
-            )
-            .with_columns(key=pl.col("src") + pl.lit(SEP) + pl.col("dst"))
-            .to_arrow()
-        )
-
-    oriented = withdeg.map_batches(
-        _orient, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    def _wedges(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "key": pa.array([], pa.string()),
-                "u": pa.array([], pa.string()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        df = pl.from_arrow(t.select(["src", "dst", "dst_deg"])).sort(
-            ["src", "dst_deg", "dst"]
-        )
-        src = df["src"].to_numpy()
-        dst = df["dst"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
-        ends = np.r_[starts[1:], len(src)]
-        los, his, us = [], [], []
-        for s, e in zip(starts, ends):
-            nb = dst[s:e]
-            m = len(nb)
-            if m < 2:
-                continue
-            # ordered pairs (rank order): lo = nb[i], hi = nb[j], i < j
-            iu, ju = np.triu_indices(m, k=1)
-            los.append(nb[iu])
-            his.append(nb[ju])
-            us.append(np.repeat(src[s], len(iu)))
-        if not los:
-            return empty
-        lo = pa.array(np.concatenate(los), pa.string())
-        hi = pa.array(np.concatenate(his), pa.string())
-        # NB: NUL-separated keys must be joined in Arrow — numpy U
-        # arrays strip trailing NULs, which silently eats the separator
-        return pa.table(
-            {
-                "key": pc.binary_join_element_wise(lo, hi, SEP),
-                "u": pa.array(np.concatenate(us), pa.string()),
-            }
-        )
-
-    wedges = bucket_group_apply(
-        oriented, "src", _wedges, num_buckets=num_buckets
-    )
-    closed = membership_join(
-        wedges, oriented.select_columns(["key"]), on="key",
-        num_buckets=num_buckets,
-    )
+    und = _undirected(edges, num_buckets).materialize()
+    deg = _degrees(und, num_buckets).materialize()
+    oriented = _oriented(und, deg).materialize()
+    closed = _closed_wedges(oriented, num_buckets, ["key", "s", "lo", "hi"])
 
     def _corners(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        if df.height == 0:
-            return pa.table(
-                {
-                    "v": pa.array([], pa.string()),
-                    "n_tri": pa.array([], pa.int64()),
-                }
-            )
-        vw = df["key"].str.split(SEP)
+        df = pl.from_arrow(t.select(["s", "lo", "hi"]))
         corners = pl.concat(
-            [
-                df.select(v=pl.col("u")),
-                pl.DataFrame({"v": vw.list.get(0)}),
-                pl.DataFrame({"v": vw.list.get(1)}),
-            ]
+            [df.select(v=pl.col(c)) for c in ("s", "lo", "hi")]
         )
         return (
             corners.group_by("v")
@@ -2195,8 +2141,11 @@ def node_clustering(
             .to_arrow()
         )
 
-    tri = bucket_group_apply(
-        tri_partials, "v", _tri_sum, num_buckets=min(num_buckets, 16)
+    tri = _typed(
+        bucket_group_apply(
+            tri_partials, "v", _tri_sum, num_buckets=min(num_buckets, 16)
+        ),
+        pa.schema([("v", pa.large_string()), ("n_tri", pa.int64())]),
     )
     out = join_auto(
         deg, tri, on=("v",), join_type="left_outer"
@@ -2227,73 +2176,14 @@ def degree_assortativity_sums(
     Newman's assortativity coefficient r is pure driver arithmetic on
     these four numbers — floats never enter the dataflow.
 
-    Reuses the dedup + degree combiners of :func:`degree_histogram`;
-    degrees join onto edges through ``join_auto`` and the four sums
-    reduce per block before one single-row merge."""
+    :func:`_undirected` → :func:`_degrees` → :func:`_with_degrees`; the
+    four sums reduce per block before one single-row merge."""
     import polars as pl
 
     from ..functions.shuffle import bucket_group_apply
 
-    SEP = "\x00"
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        return (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-            .with_columns(key=pl.col("a") + pl.lit(SEP) + pl.col("b"))
-            .to_arrow()
-        )
-
-    def _uniq(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).unique(subset=["key"]).to_arrow()
-
-    und = bucket_group_apply(
-        edges.map_batches(
-            _canon, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "key",
-        _uniq,
-        num_buckets=num_buckets,
-    ).materialize()
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
-        return (
-            v.group_by("v")
-            .agg(pl.len().cast(pl.Int64).alias("deg"))
-            .to_arrow()
-        )
-
-    def _deg_sum(t: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
-        )
-
-    deg = bucket_group_apply(
-        und.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "v",
-        _deg_sum,
-        num_buckets=min(num_buckets, 16),
-    )
-    da = deg.map_batches(
-        lambda t: t.rename_columns(["a", "deg_a"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    db = deg.map_batches(
-        lambda t: t.rename_columns(["b", "deg_b"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    withdeg = join_auto(join_auto(und, da, on=("a",)), db, on=("b",))
+    und = _undirected(edges, num_buckets).materialize()
+    withdeg = _with_degrees(und, _degrees(und, num_buckets))
 
     def _partial_sums(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t)
@@ -2483,23 +2373,6 @@ def jaccard_similarity(
         edges, min_common=min_common, num_buckets=num_buckets
     )
 
-    def _sym(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        und = (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-        )
-        return pl.concat(
-            [
-                und.select(src=pl.col("a"), dst=pl.col("b")),
-                und.select(src=pl.col("b"), dst=pl.col("a")),
-            ]
-        ).to_arrow()
-
     def _deg(t: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(t)
@@ -2512,7 +2385,7 @@ def jaccard_similarity(
         )
 
     deg = bucket_group_apply(
-        edges.map_batches(_sym, batch_format="pyarrow", zero_copy_batch=True),
+        _symmetric(edges),
         "src",
         _deg,
         num_buckets=num_buckets,
@@ -2568,30 +2441,13 @@ def label_propagation(
 
     num_partitions = default_partitions()
 
-    def _sym(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        und = (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-        )
-        return pl.concat(
-            [
-                und.select(src=pl.col("a"), dst=pl.col("b")),
-                und.select(src=pl.col("b"), dst=pl.col("a")),
-            ]
-        ).to_arrow()
-
     def _dedup(t: pa.Table) -> pa.Table:
         return pl.from_arrow(t).unique().to_arrow().cast(
             pa.schema([("src", pa.string()), ("dst", pa.string())])
         )
 
     sym = bucket_group_apply(
-        edges.map_batches(_sym, batch_format="pyarrow", zero_copy_batch=True),
+        _symmetric(edges),
         "src",
         _dedup,
         num_buckets=num_buckets,
@@ -3575,139 +3431,15 @@ def ktruss(
     drop the under-supported edges, recompute on the survivors, repeat
     to fixpoint (cohesive-subgraph mining's workhorse).
 
-    Per round everything reuses the degree-ordered wedge scheme of
-    :func:`triangle_count` — orientation bounds every out-neighborhood
-    by O(√m) so hubs never go quadratic — except wedges carry their
-    generating vertex so each CLOSED wedge can credit all three edges;
-    support is then one decomposable count per canonical edge key.
-    Rounds are bounded by ``max_iters``; each peels at least one edge
-    or terminates, and real graphs converge in a handful."""
-    import numpy as np
-    import polars as pl
-
-    from ..functions.shuffle import bucket_group_apply
+    Each round is one :func:`_triangle_support` over the survivors
+    (degree-ordered wedges, so hubs never go quadratic) and one semi
+    join keeping the edges with support ≥ k−2. Rounds are bounded by
+    ``max_iters``; each peels at least one edge or terminates, and real
+    graphs converge in a handful."""
     from .relational import membership_join
 
-    SEP = "\x00"
     need = k - 2
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        out = (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-            .with_columns(key=pl.col("a") + pl.lit(SEP) + pl.col("b"))
-        )
-        return out.to_arrow()
-
-    def _uniq(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).unique(subset=["key"]).to_arrow()
-
-    und = bucket_group_apply(
-        edges.map_batches(_canon, batch_format="pyarrow", zero_copy_batch=True),
-        "key",
-        _uniq,
-        num_buckets=num_buckets,
-    ).materialize()
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
-        return (
-            v.group_by("v").agg(pl.len().cast(pl.Int64).alias("deg")).to_arrow()
-        )
-
-    def _deg_sum(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
-
-    def _orient(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        a_first = (pl.col("deg_a") < pl.col("deg_b")) | (
-            (pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b"))
-        )
-        return df.select(
-            src=pl.when(a_first).then(pl.col("a")).otherwise(pl.col("b")),
-            dst=pl.when(a_first).then(pl.col("b")).otherwise(pl.col("a")),
-            dst_deg=pl.when(a_first)
-            .then(pl.col("deg_b"))
-            .otherwise(pl.col("deg_a")),
-        ).to_arrow()
-
-    def _wedges(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "key": pa.array([], pa.string()),
-                "src": pa.array([], pa.string()),
-                "lo": pa.array([], pa.string()),
-                "hi": pa.array([], pa.string()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        df = pl.from_arrow(t.select(["src", "dst", "dst_deg"])).sort(
-            ["src", "dst_deg", "dst"]
-        )
-        src = df["src"].to_numpy()
-        dst = df["dst"].to_numpy()
-        starts = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
-        ends = np.concatenate((starts[1:], [len(src)]))
-        ss, los, his = [], [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2:
-                continue
-            i, j = np.triu_indices(n, 1)
-            ss.append(np.repeat(src[s], len(i)))
-            los.append(dst[s:e][i])
-            his.append(dst[s:e][j])
-        if not los:
-            return empty
-        sa = pa.array(np.concatenate(ss), pa.string())
-        lo = pa.array(np.concatenate(los), pa.string())
-        hi = pa.array(np.concatenate(his), pa.string())
-        # closure key is the canonical (min, max) of the two endpoints —
-        # rank order need not be id order
-        ck = pc.binary_join_element_wise(
-            pc.min_element_wise(lo, hi), pc.max_element_wise(lo, hi), SEP
-        )
-        return pa.table({"key": ck, "src": sa, "lo": lo, "hi": hi})
-
-    def _credit(t: pa.Table) -> pa.Table:
-        # a closed wedge (src, lo, hi) supports edges (src,lo) (src,hi)
-        # (lo,hi) — emit each triangle edge's canonical key once
-        src = t["src"].combine_chunks()
-        lo = t["lo"].combine_chunks()
-        hi = t["hi"].combine_chunks()
-
-        def canon_key(x, y):
-            return pc.binary_join_element_wise(
-                pc.min_element_wise(x, y), pc.max_element_wise(x, y), SEP
-            )
-
-        def flat(x):
-            return x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x
-
-        keys = pa.concat_arrays(
-            [
-                flat(canon_key(src, lo)),
-                flat(canon_key(src, hi)),
-                flat(canon_key(lo, hi)),
-            ]
-        )
-        return (
-            pl.from_arrow(pa.table({"key": keys}))
-            .group_by("key")
-            .agg(pl.len().cast(pl.Int64).alias("sup"))
-            .to_arrow()
-        )
-
-    def _sup_sum(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).group_by("key").agg(pl.col("sup").sum()).to_arrow()
-
+    und = _undirected(edges, num_buckets).materialize()
     n_edges = und.count()
     if need <= 0:
         # k ≤ 2: every edge trivially qualifies (0 triangles needed) —
@@ -3717,62 +3449,7 @@ def ktruss(
     for _ in range(max_iters):
         if n_edges == 0:
             break
-        deg = bucket_group_apply(
-            und.map_batches(
-                _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            "v",
-            _deg_sum,
-            num_buckets=min(num_buckets, 16),
-        )
-        da = deg.map_batches(
-            lambda t: t.rename_columns(["a", "deg_a"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        db = deg.map_batches(
-            lambda t: t.rename_columns(["b", "deg_b"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        oriented = join_auto(
-            join_auto(und, da, on=("a",)), db, on=("b",)
-        ).map_batches(_orient, batch_format="pyarrow", zero_copy_batch=True)
-
-        wedges = bucket_group_apply(
-            oriented.map_batches(
-                lambda t: pa.table(
-                    {
-                        "src": t["src"],
-                        "dst": t["dst"],
-                        "dst_deg": t["dst_deg"],
-                    }
-                ),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ),
-            "src",
-            _wedges,
-            num_buckets=num_buckets,
-        )
-        closed = membership_join(
-            wedges,
-            und.map_batches(
-                lambda t: t.select(["key"]),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ),
-            on="key",
-            num_buckets=num_buckets,
-        )
-        support = bucket_group_apply(
-            closed.map_batches(
-                _credit, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            "key",
-            _sup_sum,
-            num_buckets=num_buckets,
-        )
+        support = _triangle_support(und, num_buckets)
         good = support.filter(expr=f"sup >= {need}").map_batches(
             lambda t: t.select(["key"]),
             batch_format="pyarrow",
@@ -3825,11 +3502,10 @@ def random_walks(
     reused every step from plasma); each step moves only the frontier —
     (node, deg) lookup then a composite-key ``join_auto`` against
     (src, rank) — O(V·n_walks) rows per step, never the edge set."""
-    import hashlib
-
     import polars as pl
 
     from ..functions.shuffle import bucket_group_apply
+    from ..schema import md5_60
 
     num_partitions = num_partitions or default_partitions()
 
@@ -3913,22 +3589,20 @@ def random_walks(
     for t_step in range(length):
 
         def _pick(t: pa.Table, _t=t_step) -> pa.Table:
-            nodes = t["node"].to_pylist()
-            walks = t["walk"].to_pylist()
-            degs = t["deg"].to_pylist()
-            picks = [
-                int(
-                    hashlib.md5(f"{n}|{_t}|{w}".encode()).hexdigest()[:15], 16
-                )
-                % d
-                for n, w, d in zip(nodes, walks, degs)
-            ]
+            # md5_60 of the "node|step|walk" string, built in Arrow
+            seed = pc.binary_join_element_wise(
+                pc.cast(t["node"], pa.string()),
+                str(_t),
+                pc.cast(t["walk"], pa.string()),
+                "|",
+            )
+            deg = t["deg"].to_numpy()
             return pa.table(
                 {
                     "start": t["start"],
                     "walk": t["walk"],
                     "node": t["node"],
-                    "pick": pa.array(picks, pa.int64()),
+                    "pick": pa.array(md5_60(seed) % deg, pa.int64()),
                 }
             )
 
@@ -4495,173 +4169,13 @@ def edge_support(
     """Edge EMBEDDEDNESS: for every undirected simple edge, the number
     of common neighbors of its endpoints (= triangles through the edge)
     → ``(a, b, support)``, sorted — Granovetter tie strength; support 0
-    marks local bridges. One round of :func:`ktruss`'s support pipeline
-    exposed as a report: degree-ordered wedge generation (hub-proof),
-    closed wedges credit all three edges, a LEFT membership fill keeps
+    marks local bridges. :func:`_triangle_support` over the
+    :func:`_undirected` edges, reported per edge: a LEFT join keeps
     triangle-free edges at 0."""
-    import numpy as np
-    import polars as pl
-
-    from ..functions.joins import join_auto
-    from ..functions.shuffle import bucket_group_apply
-    from .relational import membership_join
-
-    SEP = "\x00"
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        return (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-            .with_columns(key=pl.col("a") + pl.lit(SEP) + pl.col("b"))
-            .to_arrow()
-        )
-
-    und = bucket_group_apply(
-        edges.map_batches(_canon, batch_format="pyarrow", zero_copy_batch=True),
-        "key",
-        lambda t: pl.from_arrow(t).unique(subset=["key"]).to_arrow()
-        if t.num_rows
-        else t,
-        num_buckets=num_buckets,
-    ).materialize()
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
-        return v.group_by("v").agg(pl.len().cast(pl.Int64).alias("deg")).to_arrow()
-
-    deg = bucket_group_apply(
-        und.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "v",
-        lambda t: pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
-        if t.num_rows
-        else t,
-        num_buckets=min(num_buckets, 16),
-    )
-
-    withdeg = join_auto(
-        join_auto(
-            und,
-            deg.map_batches(
-                lambda t: t.rename_columns(["a", "deg_a"]),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ),
-            on=("a",),
-        ),
-        deg.map_batches(
-            lambda t: t.rename_columns(["b", "deg_b"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        on=("b",),
-    )
-
-    def _orient(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        a_first = (pl.col("deg_a") < pl.col("deg_b")) | (
-            (pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b"))
-        )
-        return df.select(
-            src=pl.when(a_first).then(pl.col("a")).otherwise(pl.col("b")),
-            dst=pl.when(a_first).then(pl.col("b")).otherwise(pl.col("a")),
-            dst_deg=pl.when(a_first)
-            .then(pl.col("deg_b"))
-            .otherwise(pl.col("deg_a")),
-        ).to_arrow()
-
-    oriented = withdeg.map_batches(
-        _orient, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def _wedges(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "key": pa.array([], pa.string()),
-                "src": pa.array([], pa.string()),
-                "lo": pa.array([], pa.string()),
-                "hi": pa.array([], pa.string()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        df = pl.from_arrow(t.select(["src", "dst", "dst_deg"])).sort(
-            ["src", "dst_deg", "dst"]
-        )
-        src = df["src"].to_numpy()
-        dst = df["dst"].to_numpy()
-        starts = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
-        ends = np.concatenate((starts[1:], [len(src)]))
-        ss, los, his = [], [], []
-        for s, e2 in zip(starts, ends):
-            n = e2 - s
-            if n < 2:
-                continue
-            i, j = np.triu_indices(n, 1)
-            ss.append(np.repeat(src[s], len(i)))
-            los.append(dst[s:e2][i])
-            his.append(dst[s:e2][j])
-        if not los:
-            return empty
-        sa = pa.array(np.concatenate(ss), pa.string())
-        lo = pa.array(np.concatenate(los), pa.string())
-        hi = pa.array(np.concatenate(his), pa.string())
-        ck = pc.binary_join_element_wise(
-            pc.min_element_wise(lo, hi), pc.max_element_wise(lo, hi), SEP
-        )
-        return pa.table({"key": ck, "src": sa, "lo": lo, "hi": hi})
-
-    wedges = bucket_group_apply(
-        oriented, "src", _wedges, num_buckets=num_buckets
-    )
-    closed = membership_join(
-        wedges,
-        und.map_batches(
-            lambda t: t.select(["key"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        on="key",
-        num_buckets=num_buckets,
-    )
-
-    def _credit(t: pa.Table) -> pa.Table:
-        src = t["src"].combine_chunks()
-        lo = t["lo"].combine_chunks()
-        hi = t["hi"].combine_chunks()
-
-        def ck(x, y):
-            out = pc.binary_join_element_wise(
-                pc.min_element_wise(x, y), pc.max_element_wise(x, y), SEP
-            )
-            return out.combine_chunks() if isinstance(out, pa.ChunkedArray) else out
-
-        keys = pa.concat_arrays([ck(src, lo), ck(src, hi), ck(lo, hi)])
-        return (
-            pl.from_arrow(pa.table({"key": keys}))
-            .group_by("key")
-            .agg(pl.len().cast(pl.Int64).alias("sup"))
-            .to_arrow()
-        )
-
-    support = bucket_group_apply(
-        closed.map_batches(_credit, batch_format="pyarrow", zero_copy_batch=True),
-        "key",
-        lambda t: pl.from_arrow(t).group_by("key").agg(pl.col("sup").sum()).to_arrow()
-        if t.num_rows
-        else t,
-        num_buckets=num_buckets,
-    )
-
+    und = _undirected(edges, num_buckets).materialize()
     out = join_auto(
-        und, support, on=("key",), join_type="left_outer"
+        und, _triangle_support(und, num_buckets), on=("key",),
+        join_type="left_outer",
     ).map_batches(
         lambda t: pa.table(
             {
@@ -5906,92 +5420,17 @@ def rich_club_edges(
     hubs form an elite clique; near 0 they are independent stars.
     Exact integers end to end.
 
-    Dataflow reuse: per-block distinct-neighbor combiner → one bucketed
-    degree merge → sort+limit k (tiny) → broadcast club membership →
-    one vectorized both-endpoints filter over the undirected simple
-    edge set. The corpus-scale edge stream is scanned twice and never
-    shuffled beyond the degree merge."""
-    import polars as pl
-
-    DEG = pa.schema([("node", pa.string()), ("deg", pa.int64())])
-
-    def _sym_pairs(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        return (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-            )
-            .unique()
-            .to_arrow()
-            .cast(pa.schema([("a", pa.string()), ("b", pa.string())]))
-        )
-
-    und = edges.map_batches(
-        _sym_pairs, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    from ..functions.shuffle import bucket_group_apply
-
-    def _und_dedup(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return pa.schema(
-                [("a", pa.string()), ("b", pa.string())]
-            ).empty_table()
-        return (
-            pl.from_arrow(t)
-            .unique(["a", "b"])
-            .to_arrow()
-            .cast(pa.schema([("a", pa.string()), ("b", pa.string())]))
-        )
-
-    simple = bucket_group_apply(
-        und, "a", _und_dedup, num_buckets=num_buckets
-    ).materialize()
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        both = pl.concat(
-            [
-                df.select(node=pl.col("a"), nbr=pl.col("b")),
-                df.select(node=pl.col("b"), nbr=pl.col("a")),
-            ]
-        )
-        return (
-            both.unique()
-            .group_by("node")
-            .agg(pl.len().cast(pl.Int64).alias("deg"))
-            .to_arrow()
-            .cast(DEG)
-        )
-
-    def _deg_merge(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return DEG.empty_table()
-        return (
-            pl.from_arrow(t)
-            .group_by("node")
-            .agg(pl.col("deg").sum())
-            .to_arrow()
-            .cast(DEG)
-        )
-
-    # NOTE: per-block partials count distinct neighbors PER BLOCK; after
-    # the simple-edge dedup above each (a, b) exists exactly once
-    # globally, so the merge's sum is the exact distinct-neighbor degree
-    deg = bucket_group_apply(
-        simple.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "node",
-        _deg_merge,
-        num_buckets=num_buckets,
-    )
+    Dataflow reuse: :func:`_undirected` → :func:`_degrees` → sort+limit
+    k (tiny) → broadcast club membership → one vectorized
+    both-endpoints filter over the undirected simple edge set."""
+    simple = _undirected(edges, num_buckets).materialize()
     club_rows = (
-        deg.sort(["deg", "node"], descending=[True, False]).limit(k).take_all()
+        _degrees(simple, num_buckets)
+        .sort(["deg", "v"], descending=[True, False])
+        .limit(k)
+        .take_all()
     )  # k rows — tiny by construction
-    club = {r["node"] for r in club_rows}
+    club = {r["v"] for r in club_rows}
 
     def _within(t: pa.Table) -> pa.Table:
         mask = pc.and_(
@@ -6045,160 +5484,22 @@ def _triadic_closed(
     triadic-closure speed of a KG — how quickly a wedge's third side
     gets asserted — a standard temporal-graph statistic.
 
-    Same degree-ordered wedge pipeline as :func:`triangle_count`
-    (orientation bounds out-neighborhoods by O(√m), each triangle
-    found once at its min-rank vertex), with two changes: edge ts ride
-    the orientation, and the wedge→edge step is an inner ``join_auto``
-    (fetching the closing edge's ts) instead of a semi join. The final
-    reduce is a per-block (n, Σ, max) partial + tiny driver fold."""
-    import numpy as np
+    The degree-ordered wedges of :func:`_wedges` with the pair's ts
+    carried through :func:`_undirected` (min), :func:`_oriented` and
+    onto both wedge edges; the wedge→edge step is an inner
+    ``join_auto`` (fetching the closing edge's ts) instead of a semi
+    join. The final reduce is a per-block (n, Σ, max) partial + tiny
+    driver fold."""
     import polars as pl
 
-    from ..functions.joins import join_auto
-    from ..functions.shuffle import bucket_group_apply
-
-    SEP = "\x00"
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id", "first_ts"]))
-        return (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-                ts=pl.col("first_ts").cast(pl.Int64),
-            )
-            .group_by(["a", "b"])
-            .agg(pl.col("ts").min())
-            .with_columns(key=pl.col("a") + pl.lit(SEP) + pl.col("b"))
-            .to_arrow()
-        )
-
-    def _min_ts(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return pa.schema(
-                [
-                    ("a", pa.string()),
-                    ("b", pa.string()),
-                    ("ts", pa.int64()),
-                    ("key", pa.string()),
-                ]
-            ).empty_table()
-        return (
-            pl.from_arrow(t)
-            .group_by(["a", "b", "key"])
-            .agg(pl.col("ts").min())
-            .select(["a", "b", "ts", "key"])
-            .to_arrow()
-        )
-
-    und = bucket_group_apply(
-        edges.map_batches(_canon, batch_format="pyarrow", zero_copy_batch=True),
-        "key",
-        _min_ts,
-        num_buckets=num_buckets,
+    und = _undirected(
+        edges, num_buckets, ts=(pl.col("first_ts").cast(pl.Int64), "min")
     ).materialize()
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
-        return (
-            v.group_by("v").agg(pl.len().cast(pl.Int64).alias("deg")).to_arrow()
-        )
-
-    def _deg_sum(t: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
-        )
-
-    deg = bucket_group_apply(
-        und.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "v",
-        _deg_sum,
-        num_buckets=min(num_buckets, 16),
-    )
-    da = deg.map_batches(
-        lambda t: t.rename_columns(["a", "deg_a"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    db = deg.map_batches(
-        lambda t: t.rename_columns(["b", "deg_b"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    withdeg = join_auto(join_auto(und, da, on=("a",)), db, on=("b",))
-
-    def _orient(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        a_first = (pl.col("deg_a") < pl.col("deg_b")) | (
-            (pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b"))
-        )
-        return (
-            df.select(
-                src=pl.when(a_first).then(pl.col("a")).otherwise(pl.col("b")),
-                dst=pl.when(a_first).then(pl.col("b")).otherwise(pl.col("a")),
-                dst_deg=pl.when(a_first)
-                .then(pl.col("deg_b"))
-                .otherwise(pl.col("deg_a")),
-                ts=pl.col("ts"),
-            )
-            .with_columns(key=pl.col("src") + pl.lit(SEP) + pl.col("dst"))
-            .to_arrow()
-        )
-
-    oriented = withdeg.map_batches(
-        _orient, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    WEDGE = pa.schema(
-        [("key", pa.string()), ("t1", pa.int64()), ("t2", pa.int64())]
-    )
-
-    def _wedges(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return WEDGE.empty_table()
-        df = pl.from_arrow(t.select(["src", "dst", "dst_deg", "ts"])).sort(
-            ["src", "dst_deg", "dst"]
-        )
-        src = df["src"].to_numpy()
-        dst = df["dst"].to_numpy()
-        ets = df["ts"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate(([True], src[1:] != src[:-1]))
-        )
-        ends = np.concatenate((starts[1:], [len(src)]))
-        los, his, t1s, t2s = [], [], [], []
-        for s, e in zip(starts, ends):  # O(#groups); pair-gen is numpy
-            k = e - s
-            if k < 2:
-                continue
-            i, j = np.triu_indices(k, 1)
-            los.append(dst[s:e][i])
-            his.append(dst[s:e][j])
-            t1s.append(ets[s:e][i])
-            t2s.append(ets[s:e][j])
-        if not los:
-            return WEDGE.empty_table()
-        lo = pa.array(np.concatenate(los), pa.string())
-        hi = pa.array(np.concatenate(his), pa.string())
-        return pa.table(
-            {
-                "key": pc.binary_join_element_wise(lo, hi, SEP),
-                "t1": pa.array(np.concatenate(t1s), pa.int64()),
-                "t2": pa.array(np.concatenate(t2s), pa.int64()),
-            }
-        )
-
-    wedges = bucket_group_apply(
-        oriented, "src", _wedges, num_buckets=num_buckets
-    )
+    oriented = _oriented(und, _degrees(und, num_buckets), "ts").materialize()
     closed = join_auto(
-        wedges,
+        _wedges(oriented, num_buckets, ["key", "ts_lo", "ts_hi"]),
         oriented.map_batches(
-            lambda t: pa.table({"key": t["key"], "t3": t["ts"]}),
+            lambda t: pa.table({"key": t["key"], "ts_uv": t["ts"]}),
             batch_format="pyarrow",
             zero_copy_batch=True,
         ),
@@ -6208,9 +5509,9 @@ def _triadic_closed(
     def _close(t: pa.Table) -> pa.Table:
         if not t.num_rows:
             return pa.schema([("close_us", pa.int64())]).empty_table()
-        df = pl.from_arrow(t.select(["t1", "t2", "t3"])).select(
-            close_us=pl.max_horizontal("t1", "t2", "t3")
-            - pl.min_horizontal("t1", "t2", "t3")
+        ts = ["ts_lo", "ts_hi", "ts_uv"]
+        df = pl.from_arrow(t.select(ts)).select(
+            close_us=pl.max_horizontal(ts) - pl.min_horizontal(ts)
         )
         return df.to_arrow().cast(pa.schema([("close_us", pa.int64())]))
 
@@ -6374,190 +5675,41 @@ def triad_census(
     classic directed-motif signal (feed-forward loops dominate real
     information networks; cycles dominate noise).
 
-    The degree-ordered wedge skeleton a third time (see
-    :func:`triangle_count`): canonical dyads carry a direction flag
-    (1 = min→max only, 2 = max→min only, 3 = mutual) minted in one
-    bucketed dedup; wedges carry the two wedge-edge flags plus explicit
-    endpoint names; the closing edge's flag arrives via the same inner
-    join; classification is pure vectorized logic per closed wedge
-    (indegree-within-triangle == 1 for every vertex ⟺ cyclic)."""
+    The degree-ordered wedges of :func:`_wedges`: :func:`_undirected`
+    carries per-dyad direction bits (max = bit-OR across blocks) that
+    combine into a flag (1 = min→max only, 2 = max→min only, 3 =
+    mutual); the flag rides the orientation onto both wedge edges, the
+    closing edge's flag arrives via an inner join, and classification is
+    pure vectorized logic per closed wedge (indegree-within-triangle ==
+    1 for every vertex ⟺ cyclic)."""
     import numpy as np
     import polars as pl
 
-    from ..functions.joins import join_auto
-    from ..functions.shuffle import bucket_group_apply
-
-    SEP = "\x00"
-
-    def _canon(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["subj_id", "obj_id"]))
-        return (
-            df.filter(pl.col("subj_id") != pl.col("obj_id"))
-            .select(
-                a=pl.min_horizontal("subj_id", "obj_id"),
-                b=pl.max_horizontal("subj_id", "obj_id"),
-                fwd=(pl.col("subj_id") < pl.col("obj_id")).cast(pl.Int64),
-                bwd=(pl.col("subj_id") > pl.col("obj_id")).cast(pl.Int64),
-            )
-            .group_by(["a", "b"])
-            .agg(pl.col("fwd").max(), pl.col("bwd").max())
-            .with_columns(
-                key=pl.col("a") + pl.lit(SEP) + pl.col("b"),
-                flag=pl.col("fwd") + 2 * pl.col("bwd"),
-            )
-            .select(["a", "b", "key", "flag"])
-            .to_arrow()
+    und = (
+        _undirected(
+            edges,
+            num_buckets,
+            fwd=((pl.col("subj_id") < pl.col("obj_id")).cast(pl.Int64), "max"),
+            bwd=((pl.col("subj_id") > pl.col("obj_id")).cast(pl.Int64), "max"),
         )
-
-    # merge per-block flags by BIT-OR: two blocks may see opposite
-    # directions of one dyad (flags 1 and 2) whose true flag is 3 —
-    # max() would give 2, losing the mutual
-    def _dedup_or(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return pa.schema(
-                [
-                    ("a", pa.string()),
-                    ("b", pa.string()),
-                    ("key", pa.string()),
-                    ("flag", pa.int64()),
-                ]
-            ).empty_table()
-        return (
-            pl.from_arrow(t)
-            .group_by(["a", "b", "key"])
-            .agg(
-                (
-                    pl.col("flag")
-                    .is_in([1, 3])
-                    .any()
-                    .cast(pl.Int64)
-                    + 2 * pl.col("flag").is_in([2, 3]).any().cast(pl.Int64)
-                ).alias("flag")
-            )
-            .select(["a", "b", "key", "flag"])
-            .to_arrow()
+        .map_batches(
+            lambda t: pl.from_arrow(t)
+            .select("a", "b", "key", flag=pl.col("fwd") + 2 * pl.col("bwd"))
+            .to_arrow(),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
-
-    und = bucket_group_apply(
-        edges.map_batches(_canon, batch_format="pyarrow", zero_copy_batch=True),
-        "key",
-        _dedup_or,
-        num_buckets=num_buckets,
+        .materialize()
+    )
+    oriented = _oriented(
+        und, _degrees(und, num_buckets), "flag"
     ).materialize()
-
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select(["a", "b"]))
-        v = pl.concat([df.select(v=pl.col("a")), df.select(v=pl.col("b"))])
-        return (
-            v.group_by("v").agg(pl.len().cast(pl.Int64).alias("deg")).to_arrow()
-        )
-
-    def _deg_sum(t: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(t).group_by("v").agg(pl.col("deg").sum()).to_arrow()
-        )
-
-    deg = bucket_group_apply(
-        und.map_batches(
-            _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "v",
-        _deg_sum,
-        num_buckets=min(num_buckets, 16),
-    )
-    da = deg.map_batches(
-        lambda t: t.rename_columns(["a", "deg_a"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    db = deg.map_batches(
-        lambda t: t.rename_columns(["b", "deg_b"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    withdeg = join_auto(join_auto(und, da, on=("a",)), db, on=("b",))
-
-    def _orient(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t)
-        a_first = (pl.col("deg_a") < pl.col("deg_b")) | (
-            (pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b"))
-        )
-        return (
-            df.select(
-                src=pl.when(a_first).then(pl.col("a")).otherwise(pl.col("b")),
-                dst=pl.when(a_first).then(pl.col("b")).otherwise(pl.col("a")),
-                dst_deg=pl.when(a_first)
-                .then(pl.col("deg_b"))
-                .otherwise(pl.col("deg_a")),
-                flag=pl.col("flag"),
-            )
-            .with_columns(key=pl.col("src") + pl.lit(SEP) + pl.col("dst"))
-            .to_arrow()
-        )
-
-    oriented = withdeg.map_batches(
-        _orient, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    WEDGE = pa.schema(
-        [
-            ("key", pa.string()),
-            ("s", pa.string()),
-            ("u", pa.string()),
-            ("v", pa.string()),
-            ("f_su", pa.int64()),
-            ("f_sv", pa.int64()),
-        ]
-    )
-
-    def _wedges(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return WEDGE.empty_table()
-        df = pl.from_arrow(
-            t.select(["src", "dst", "dst_deg", "flag"])
-        ).sort(["src", "dst_deg", "dst"])
-        src = df["src"].to_numpy()
-        dst = df["dst"].to_numpy()
-        flg = df["flag"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate(([True], src[1:] != src[:-1]))
-        )
-        ends = np.concatenate((starts[1:], [len(src)]))
-        ss, us, vs, f1, f2 = [], [], [], [], []
-        for s0, e0 in zip(starts, ends):  # O(#groups); pair-gen is numpy
-            k = e0 - s0
-            if k < 2:
-                continue
-            i, j = np.triu_indices(k, 1)
-            ss.append(np.repeat(src[s0], len(i)))
-            us.append(dst[s0:e0][i])
-            vs.append(dst[s0:e0][j])
-            f1.append(flg[s0:e0][i])
-            f2.append(flg[s0:e0][j])
-        if not ss:
-            return WEDGE.empty_table()
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-        return pa.table(
-            {
-                "key": pc.binary_join_element_wise(
-                    pa.array(u, pa.string()), pa.array(v, pa.string()), SEP
-                ),
-                "s": pa.array(np.concatenate(ss), pa.string()),
-                "u": pa.array(u, pa.string()),
-                "v": pa.array(v, pa.string()),
-                "f_su": pa.array(np.concatenate(f1), pa.int64()),
-                "f_sv": pa.array(np.concatenate(f2), pa.int64()),
-            }
-        )
-
-    wedges = bucket_group_apply(
-        oriented, "src", _wedges, num_buckets=num_buckets
-    )
     closed = join_auto(
-        wedges,
+        _wedges(
+            oriented, num_buckets, ["key", "s", "lo", "hi", "flag_lo", "flag_hi"]
+        ),
         oriented.map_batches(
-            lambda t: pa.table({"key": t["key"], "f_uv": t["flag"]}),
+            lambda t: pa.table({"key": t["key"], "flag_uv": t["flag"]}),
             batch_format="pyarrow",
             zero_copy_batch=True,
         ),
@@ -6576,11 +5728,11 @@ def triad_census(
         if not t.num_rows:
             return CNT.empty_table()
         s = np.asarray(t["s"].to_pylist(), dtype=object)
-        u = np.asarray(t["u"].to_pylist(), dtype=object)
-        v = np.asarray(t["v"].to_pylist(), dtype=object)
-        fsu = t["f_su"].to_numpy(zero_copy_only=False)
-        fsv = t["f_sv"].to_numpy(zero_copy_only=False)
-        fuv = t["f_uv"].to_numpy(zero_copy_only=False)
+        u = np.asarray(t["lo"].to_pylist(), dtype=object)
+        v = np.asarray(t["hi"].to_pylist(), dtype=object)
+        fsu = t["flag_lo"].to_numpy(zero_copy_only=False)
+        fsv = t["flag_hi"].to_numpy(zero_copy_only=False)
+        fuv = t["flag_uv"].to_numpy(zero_copy_only=False)
         has_mutual = (fsu == 3) | (fsv == 3) | (fuv == 3)
 
         def indeg(x, y, f):

@@ -580,6 +580,8 @@ def grouped_sets(
     shuffle), then every requested set re-aggregates the already-tiny
     detail result (counts re-merge by sum) — the corpus is read and
     shuffled exactly once no matter how many sets are asked for."""
+    if not sets:
+        raise ValueError("sets must be non-empty")
     n = len(by)
     seen = set()
     for s in sets:
@@ -643,7 +645,6 @@ def grouped_sets(
             zero_copy_batch=True,
         )
         out = piece if out is None else out.union(piece)
-    assert out is not None, "sets must be non-empty"
     return out
 
 

@@ -1694,7 +1694,7 @@ def pq_ann_topk_exact(
     ``(‖n·q_s − s_s‖² · scale) // n²`` (floored to the common scale —
     the deterministic integer contract BOTH the engine and the DuckDB
     oracle compute), a vector's distance is the sum of its m code
-    lookups (int64, bound-asserted), ranking is (score asc,
+    lookups (int64, bound-checked), ranking is (score asc,
     neighbor_id asc) minus self. Same scan shape as the float
     pq_ann_topk: uint8 codes stream, LUT broadcasts, per-block top-k
     partials merge in one bucket shuffle."""
@@ -1715,9 +1715,10 @@ def pq_ann_topk_exact(
             diff = qs * n - s_mat[s][c][None, :]
             A = (diff * diff).sum(axis=1)  # big ints, exact
             val = (A * scale) // (n * n)
-            assert int(val.max(initial=0)) * m < 2**63, (
-                "PQ LUT overflow: raise quant granularity or lower scale"
-            )
+            if int(val.max(initial=0)) * m >= 2**63:
+                raise OverflowError(
+                    "PQ LUT overflow: raise quant granularity or lower scale"
+                )
             lut[:, s, c] = val.astype(np.int64)
     ref = ray.put((qids, lut)) if ray.is_initialized() else (qids, lut)
 
@@ -1768,7 +1769,7 @@ def l2_topk_int(
     coordinates → (query_id, neighbor_id, rank) — the deterministic
     ground truth the exact-PQ recall monitor compares against (the
     float ann_topk's quantized sibling; distances Σ(qx−x)² fit int64 at
-    the documented magnitudes, asserted)."""
+    the documented magnitudes, checked: OverflowError)."""
     qids = np.asarray(queries["vec_id"].to_pylist(), dtype=np.int64)
     qq = _quant_block(queries, quant)
     ref = ray.put((qids, qq)) if ray.is_initialized() else (qids, qq)
@@ -1785,10 +1786,11 @@ def l2_topk_int(
         mx = max(
             int(np.abs(xq).max(initial=0)), int(np.abs(qm).max(initial=0))
         )
-        assert 4 * mx * mx * xq.shape[1] < 2**63, (
-            "l2_topk_int: quantized coordinates too large for int64 "
-            "distances — lower `quant`"
-        )
+        if 4 * mx * mx * xq.shape[1] >= 2**63:
+            raise OverflowError(
+                "l2_topk_int: quantized coordinates too large for int64 "
+                "distances — lower `quant`"
+            )
         out_q, out_n, out_s = [], [], []
         kk_ = min(k + 1, xq.shape[0])
         for qi in range(qm.shape[0]):

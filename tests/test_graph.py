@@ -2771,3 +2771,166 @@ def test_fixed_point_betweenness_tracks_float(ray_session):
     assert set(fl) == set(fp)
     for v in fl:
         assert abs(fl[v] - fp[v]) < 1e-3, v
+
+
+def _noisy_multigraph(seed: int = 29):
+    """≤ 200 directed KG edges over 24 nodes with reverse duplicates,
+    self-loops and multi-pred parallel edges (each with its own ts)."""
+    import random
+
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(120):
+        u, v = (f"n{rng.randrange(24):02d}" for _ in range(2))
+        rows.append((u, rng.choice("pqr"), v, rng.randrange(10_000)))
+    rows += [(v, "q", u, ts + 7) for u, _, v, ts in rows[:40]]  # reverse dups
+    rows += [(u, "s", v, ts + 3) for u, _, v, ts in rows[40:60]]  # parallel
+    rows += [(u, "p", u, 1) for u, *_ in rows[:10]]  # self-loops
+    return rows
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        "degree_assortativity_sums",
+        "edge_support",
+        "triad_census",
+        "triadic_closure_times",
+        "rich_club_edges",
+    ],
+)
+def test_undirected_core_operators_random_vs_reference(ray_session, op):
+    """Each operator over a noisy multigraph split into 5 blocks (so the
+    cross-block merges run) equals a pure-Python reference on the same
+    edges."""
+    import itertools
+
+    import pyarrow as pa
+    import ray.data
+
+    from joint_entity_and_relation_extraction_ray.stages import graph
+
+    rows = _noisy_multigraph()
+    tbl = pa.table(
+        {
+            "subj_id": [r[0] for r in rows],
+            "pred": [r[1] for r in rows],
+            "obj_id": [r[2] for r in rows],
+            "first_ts": pa.array([r[3] for r in rows], pa.timestamp("us")),
+        }
+    )
+    step = -(-len(rows) // 5)
+    ds = ray.data.from_arrow(
+        [tbl.slice(i, step) for i in range(0, len(rows), step)]
+    )
+
+    # reference: undirected simple graph, per-pair min ts, direction bits
+    ts, dirs = {}, {}
+    for u, _, v, t in rows:
+        if u == v:
+            continue
+        e = (min(u, v), max(u, v))
+        ts[e] = min(ts.get(e, t), t)
+        dirs.setdefault(e, set()).add(u < v)
+    nbr = {}
+    for a, b in ts:
+        nbr.setdefault(a, set()).add(b)
+        nbr.setdefault(b, set()).add(a)
+    deg = {v: len(n) for v, n in nbr.items()}
+    tris = [
+        (x, y, z)
+        for x, y, z in itertools.combinations(sorted(nbr), 3)
+        if (x, y) in ts and (x, z) in ts and (y, z) in ts
+    ]
+    assert tris, "the fixture must contain triangles"
+
+    got = getattr(graph, op)(ds, num_buckets=4).take_all()
+    if op == "degree_assortativity_sums":
+        ends = [(deg[a], deg[b]) for a, b in ts]
+        want = [
+            {
+                "m": len(ends),
+                "s_sum": sum(j + k for j, k in ends),
+                "s_sq": sum(j * j + k * k for j, k in ends),
+                "s_prod": sum(j * k for j, k in ends),
+            }
+        ]
+    elif op == "edge_support":
+        want = [
+            {"a": a, "b": b, "support": len(nbr[a] & nbr[b])}
+            for a, b in sorted(ts)
+        ]
+    elif op == "triad_census":
+        n_mutual = n_cyclic = 0
+        for tri in tris:
+            dyads = list(itertools.combinations(tri, 2))
+            if any(len(dirs[d]) == 2 for d in dyads):
+                n_mutual += 1
+                continue
+            # each asymmetric dyad points at one endpoint; cyclic ⟺ all
+            # three vertices have indegree 1
+            heads = {b if True in dirs[(a, b)] else a for a, b in dyads}
+            n_cyclic += len(heads) == 3
+        want = [
+            {
+                "n_triangles": len(tris),
+                "n_with_mutual": n_mutual,
+                "n_cyclic": n_cyclic,
+                "n_transitive": len(tris) - n_mutual - n_cyclic,
+            }
+        ]
+    elif op == "triadic_closure_times":
+        close = [
+            max(ts[d] for d in itertools.combinations(tri, 2))
+            - min(ts[d] for d in itertools.combinations(tri, 2))
+            for tri in tris
+        ]
+        want = [
+            {
+                "n_triangles": len(close),
+                "sum_close_us": sum(close),
+                "max_close_us": max(close),
+            }
+        ]
+    else:  # rich_club_edges, default k = 20
+        club = set(sorted(deg, key=lambda v: (-deg[v], v))[:20])
+        want = [
+            {
+                "n_club": len(club),
+                "n_within": sum(a in club and b in club for a, b in ts),
+                "n_possible": len(club) * (len(club) - 1) // 2,
+            }
+        ]
+    assert got == want
+
+
+def test_triangle_free_graph_operators(ray_session):
+    """A graph with edges but no triangle: zero support and zero corner
+    counts, not a missing-column error from an empty closed-wedge set."""
+    import pyarrow as pa
+    import ray.data
+
+    from joint_entity_and_relation_extraction_ray.stages import graph
+
+    pairs = [("h", f"s{i}") for i in range(5)] + [("s0", "t"), ("t", "u")]
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "subj_id": [p[0] for p in pairs],
+                "obj_id": [p[1] for p in pairs],
+            }
+        )
+    )
+    nodes = {v for p in pairs for v in p}
+    assert graph.triangle_count(ds, num_buckets=4).take_all() == [
+        {"n_triangles": 0}
+    ]
+    assert [
+        (r["a"], r["b"], r["support"])
+        for r in graph.edge_support(ds, num_buckets=4).take_all()
+    ] == [(min(p), max(p), 0) for p in sorted(map(sorted, pairs))]
+    assert {
+        r["node"]: r["n_triangles"]
+        for r in graph.node_clustering(ds, num_buckets=4).take_all()
+    } == dict.fromkeys(nodes, 0)
+    assert graph.ktruss(ds, k=3, num_buckets=4).take_all() == []
