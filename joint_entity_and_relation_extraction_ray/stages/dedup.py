@@ -1,26 +1,45 @@
 """Deduplication operators over a (doc_id, text) / (vec_id, embedding)
 corpus — the training-data-pipeline family (driver brief): exact,
-MinHash+LSH, SimHash, n-gram Jaccard verification, embedding-cosine.
+MinHash+LSH, SimHash, n-gram Jaccard and containment, edit distance,
+embedding-cosine.
+
+Every blocking join here has the same shape — map rows to int64
+``(key, id)`` POSTINGS, pair the ids that share a key, verify the pairs
+exactly — and shares one core for it:
+
+- :func:`_co_posting_pairs` — the blocking core: one key-bucketed
+  shuffle whose reducer turns each key's sorted id list into its upper
+  triangle (:func:`_upper_pairs`: exact by default, oversized lists
+  logged, ``max_bucket`` truncates with a log line), then one
+  ``a``-bucketed shuffle (:func:`_distinct_pairs`) that makes the pairs
+  distinct and counts ``c`` = the keys a pair co-occurs on. MinHash
+  bands (:func:`_minhash_postings`), n-gram shingle hashes
+  (:func:`_pair_intersection_counts`, where ``c`` = |A ∩ B|),
+  hyperplane-LSH buckets and SymSpell deletion variants all block
+  through it; only 16-byte int rows shuffle, never text;
+- :func:`_map_shingle_sets` — the candidate shingle-set fetch of the
+  string-set verifiers (:func:`verify_jaccard_pairs`,
+  :func:`containment_pairs`): a broadcast LUT of the candidate docs
+  when the pair set fits on the driver, hash joins above that;
+- :func:`_pair_graph_labels` — connected components of a pair graph
+  (:func:`dedup_apply`, :func:`dedup_cluster_sizes`).
 
 Scale design notes (10^12-row framing):
 
 - exact dedup = hash fingerprint (map) + groupby(digest) min — one shuffle
   whose payload is (digest, doc_id), never the text;
-- MinHash LSH = shingle→signature (map, vectorized) → flat-map to
-  (band_key, doc_id) → bucket-shuffle pair-gen (bands are the classic
-  shingle→minhash→band→bucket-groupby decomposition) → distinct pairs →
-  n-gram Jaccard verify via joins against the shingle table. Pair-gen is
-  EXACT by default (no silent truncation); oversized buckets are logged,
-  and shingle-less docs are skipped at banding so they never collide on a
-  sentinel signature. Callers at scale bound the quadratic explicitly via
-  ``max_bucket`` (logged truncation);
+- MinHash LSH = shingle→signature (map, vectorized) → (key, id) band
+  postings → the blocking core → n-gram Jaccard verify on the candidate
+  docs' string shingle sets. Shingle-less docs are skipped at banding so
+  they never collide on a sentinel signature;
 - SimHash = 64-bit fingerprint (map) + groupby(fingerprint); near-dup
   variant blocks on 4×16-bit bands (pigeonhole: hamming ≤ 3 ⇒ ≥ 1 band
-  equal) then verifies exact hamming distance (vectorized popcount);
+  equal) then verifies exact hamming distance (vectorized popcount)
+  inside its own bucket reducer;
 - embedding near-dup baseline = brute-force cosine against a broadcast
   normalized matrix (exact; fine to ~1e6×D on a worker); the scale path
-  is multi-table random-hyperplane LSH over INT (bucket, vec_id) rows +
-  join-side exact-cosine verify (approximate, rows-only oracle).
+  is multi-table random-hyperplane LSH through the blocking core +
+  join-side exact-cosine verify.
 """
 
 from __future__ import annotations
@@ -37,7 +56,6 @@ from ray.data.aggregate import Count, Min
 from ..functions import textstats
 from ..functions.joins import (
     BROADCAST_THRESHOLD_ROWS,
-    broadcast_join,
     dataset_to_table,
     join_auto,
 )
@@ -50,6 +68,8 @@ log = logging.getLogger(__name__)
 # BUCKET_WARN are logged; callers at scale can pass max_bucket to bound the
 # quadratic explicitly (truncation is then logged too).
 BUCKET_WARN = 200
+
+_I64 = pa.int64()
 
 
 def _upper_pairs(
@@ -89,6 +109,94 @@ def _upper_pairs(
         outs_a.append(np.repeat(rows, counts))
         outs_b.append(j)
     return np.concatenate(outs_a), np.concatenate(outs_b)
+
+
+def _share(x):
+    """A zero-argument getter of ``x`` for worker-side functions: ``x`` is
+    put in the object store once when a Ray session is up (each call
+    then reads it from the local store), else held by the closure."""
+    if not ray.is_initialized():
+        return lambda: x
+    ref = ray.put(x)
+    return lambda: ray.get(ref)
+
+
+def _distinct_pairs(
+    pairs: ray.data.Dataset,
+    cols: tuple[str, str],
+    *,
+    count: bool = False,
+    num_buckets: int = 64,
+) -> ray.data.Dataset:
+    """The ``a``-bucketed pair reducer: distinct ``cols`` pairs, with
+    ``c`` = each pair's number of copies when ``count``. Every copy of a
+    pair hashes to the bucket of its first column, so the count there is
+    final."""
+    names = [*cols, "c"] if count else list(cols)
+    schema = pa.schema([(n, _I64) for n in names])
+
+    def _reduce(t: pa.Table) -> pa.Table:
+        import polars as pl
+
+        return (
+            pl.from_arrow(t)
+            .group_by(list(cols))
+            .agg(pl.len().cast(pl.Int64).alias("c"))
+            .select(names)
+            .to_arrow()
+            .cast(schema)
+        )
+
+    return bucket_group_apply(pairs, cols[0], _reduce, num_buckets=num_buckets)
+
+
+def _co_posting_pairs(
+    postings: ray.data.Dataset,
+    *,
+    cols: tuple[str, str] = ("doc_a", "doc_b"),
+    count: bool = False,
+    max_bucket: int | None = None,
+    label: str,
+    num_buckets: int = 64,
+) -> ray.data.Dataset:
+    """The blocking core: int64 ``(key, id)`` postings → distinct
+    ``(a < b)`` pairs of ids that share a key, named ``cols``, plus
+    ``c`` = the number of postings the pair co-occurs on when ``count``.
+
+    Two shuffles: postings bucket by ``key`` and each key's sorted id
+    list becomes its upper triangle (:func:`_upper_pairs`, which logs
+    lists over ``BUCKET_WARN`` and truncates at ``max_bucket``); the
+    pairs then bucket by ``a`` (:func:`_distinct_pairs`). Postings are
+    not made distinct first: an id posted twice under one key (a 64-bit
+    hash collision) pairs with each co-posted id once per posting, so a
+    collision can only add to ``c``. Self-pairs are dropped."""
+
+    def _pairs(t: pa.Table) -> pa.Table:
+        import polars as pl
+
+        grp = (
+            pl.from_arrow(t)
+            .group_by("key")
+            .agg(pl.col("id").sort().alias("ids"), pl.len().alias("n"))
+            .filter(pl.col("n") >= 2)
+        )
+        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for ids in grp["ids"].to_list():
+            arr = np.asarray(ids, dtype=np.int64)
+            ai, bi = _upper_pairs(arr, max_bucket=max_bucket, label=label)
+            x, y = arr[ai], arr[bi]
+            keep = x != y
+            a.append(x[keep])
+            b.append(y[keep])
+        return pa.table(
+            {
+                cols[0]: pa.array(np.concatenate(a), _I64),
+                cols[1]: pa.array(np.concatenate(b), _I64),
+            }
+        )
+
+    pairs = bucket_group_apply(postings, "key", _pairs, num_buckets=num_buckets)
+    return _distinct_pairs(pairs, cols, count=count, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +285,8 @@ def shingle_docs(docs: ray.data.Dataset, *, k: int = 3) -> ray.data.Dataset:
 def _band_keys(
     sigs: np.ndarray, doc_ids: list[int], rows_per_band: int
 ) -> pa.Table:
-    """Band signatures → int64 band keys, fully vectorized.
+    """Band signatures → int64 ``(key, id)`` band postings, fully
+    vectorized.
 
     The key is a splitmix-style MIX of the band's signature values + the
     band index — 8 bytes through the shuffle instead of a ~45-byte string,
@@ -198,12 +307,30 @@ def _band_keys(
         )
     keys = h.reshape(-1).view(np.int64)
     dids = np.repeat(np.asarray(doc_ids, dtype=np.int64), n_bands)
-    return pa.table(
-        {
-            "band_key": pa.array(keys, pa.int64()),
-            "doc_id": pa.array(dids, pa.int64()),
-        }
-    )
+    return pa.table({"key": pa.array(keys, _I64), "id": pa.array(dids, _I64)})
+
+
+def _minhash_postings(
+    shingled: ray.data.Dataset, *, num_perm: int, rows_per_band: int, seed: int
+) -> ray.data.Dataset:
+    """MinHash banding: ``(doc_id, shingles)`` → ``(key, id)`` band
+    postings (:func:`_band_keys`).
+
+    Docs with ZERO shingles are skipped: they cannot reach any positive
+    Jaccard (the SQL oracle's NULL shingles likewise never match), and
+    without the skip they would all share the identical sentinel
+    signature and pile into one quadratic bucket."""
+
+    def _bands(t: pa.Table) -> pa.Table:
+        sh = t["shingles"].to_pylist()
+        ids = t["doc_id"].to_pylist()
+        keep = [i for i, s in enumerate(sh) if s]
+        sigs = textstats.minhash_signatures(
+            [sh[i] for i in keep], num_perm=num_perm, seed=seed
+        )
+        return _band_keys(sigs, [ids[i] for i in keep], rows_per_band)
+
+    return shingled.map_batches(_bands, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def minhash_candidate_pairs(
@@ -214,60 +341,109 @@ def minhash_candidate_pairs(
     seed: int = 7,
     max_bucket: int | None = None,
 ) -> ray.data.Dataset:
-    """LSH banding → distinct candidate (doc_a < doc_b) pairs.
+    """LSH banding → distinct candidate (doc_a < doc_b) pairs: the band
+    postings (:func:`_minhash_postings`) through the blocking core."""
+    bands = _minhash_postings(
+        shingled, num_perm=num_perm, rows_per_band=rows_per_band, seed=seed
+    )
+    return _co_posting_pairs(bands, max_bucket=max_bucket, label="minhash")
 
-    Docs with ZERO shingles are skipped at banding: they cannot reach any
-    positive Jaccard (the SQL oracle's NULL shingles likewise never match),
-    and without the skip they would all share the identical sentinel
-    signature and pile into one quadratic bucket."""
 
-    def _bands(t: pa.Table) -> pa.Table:
-        sh = t["shingles"].to_pylist()
-        ids = t["doc_id"].to_pylist()
-        keep = [i for i, s in enumerate(sh) if s]
-        sh = [sh[i] for i in keep]
-        ids = [ids[i] for i in keep]
-        sigs = textstats.minhash_signatures(sh, num_perm=num_perm, seed=seed)
-        return _band_keys(sigs, ids, rows_per_band)
+def _shingle_set(s: str | None) -> set:
+    """A ``\\x1f``-joined shingle string back to its set."""
+    return set(s.split("\x1f")) if s else set()
 
-    bands = shingled.map_batches(
-        _bands, batch_format="pyarrow", zero_copy_batch=True
+
+def _map_shingle_sets(
+    pairs: ray.data.Dataset,
+    shingled: ray.data.Dataset,
+    cols: tuple[str, str],
+    fn,
+) -> ray.data.Dataset:
+    """The candidate shingle-set fetch: ``fn(t, sh_a, sh_b)`` over every
+    batch ``t`` of ``pairs`` whose two ``cols`` ids are both docs of
+    ``shingled``, with ``sh_a``/``sh_b`` the parallel serialized shingle
+    sets of those ids (one ``\\x1f``-joined string per doc — hash joins
+    don't take list-typed payload columns, and shingles are \\S+ tokens
+    + spaces, never ``\\x1f``; :func:`_shingle_set` splits one). ``fn``
+    returns the output table; ``t`` may carry extra columns.
+
+    A pair set of at most ``BROADCAST_THRESHOLD_ROWS`` rows takes the
+    driver-side path: the candidate doc-id set is broadcast, the corpus
+    filters to those docs before serializing, and their shingle strings
+    broadcast once as an id-sorted LUT that one stateless map probes —
+    zero joins, zero actor pools, only candidate docs ever move. Above
+    it, the serialized shingle table is hash-joined onto both ends
+    (``join_auto``: broadcast or shuffle per side size) — no driver
+    collect."""
+    a, b = cols
+    pairs = pairs.materialize()
+
+    if pairs.count() > BROADCAST_THRESHOLD_ROWS:
+        def _ser(t: pa.Table, col: str, sh: str) -> pa.Table:
+            return pa.table(
+                {col: t["doc_id"], sh: pc.binary_join(t["shingles"], "\x1f")}
+            )
+
+        j = pairs
+        for col, sh in ((a, "sh_a"), (b, "sh_b")):
+            side = shingled.map_batches(
+                lambda t, col=col, sh=sh: _ser(t, col, sh),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+            j = join_auto(j, side, on=(col,))
+        return j.map_batches(
+            lambda t: fn(t, t["sh_a"].to_pylist(), t["sh_b"].to_pylist()),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+
+    ptbl = dataset_to_table(pairs)
+    want = _share(
+        np.unique(
+            np.concatenate(
+                [
+                    ptbl[a].to_numpy(zero_copy_only=False),
+                    ptbl[b].to_numpy(zero_copy_only=False),
+                ]
+            )
+        )
+        if ptbl.num_rows
+        else np.empty(0, dtype=np.int64)
     )
 
-    def _pairs_bucket(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        grp = (
-            pl.from_arrow(t)
-            .unique()
-            .group_by("band_key")
-            .agg(pl.col("doc_id").sort().alias("ids"), pl.len().alias("n"))
-            .filter(pl.col("n") >= 2)
-        )
-        a, b = [], []
-        for ids in grp["ids"].to_list():
-            arr = np.asarray(ids, dtype=np.int64)
-            ai, bi = _upper_pairs(arr, max_bucket=max_bucket, label="minhash")
-            a.append(arr[ai])
-            b.append(arr[bi])
-        a = np.concatenate(a) if a else np.empty(0, dtype=np.int64)
-        b = np.concatenate(b) if b else np.empty(0, dtype=np.int64)
+    def _candidate_docs(t: pa.Table) -> pa.Table:
+        keep = np.isin(t["doc_id"].to_numpy(zero_copy_only=False), want())
+        f = t.filter(pa.array(keep))
         return pa.table(
-            {"doc_a": pa.array(a, pa.int64()), "doc_b": pa.array(b, pa.int64())}
+            {"doc_id": f["doc_id"], "sh": pc.binary_join(f["shingles"], "\x1f")}
         )
 
-    cand = bucket_group_apply(bands, "band_key", _pairs_bucket)
+    red = dataset_to_table(
+        shingled.map_batches(
+            _candidate_docs, batch_format="pyarrow", zero_copy_batch=True
+        ).materialize()
+    )
+    lut_ids = red["doc_id"].to_numpy(zero_copy_only=False)
+    order = np.argsort(lut_ids)
+    lut = _share(
+        (lut_ids[order], np.asarray(red["sh"].to_pylist(), dtype=object)[order])
+    )
 
-    # distinct pairs (a pair can collide in many bands); doc_a-bucketed so
-    # a given pair always dedups inside one bucket
-    def _distinct(t: pa.Table) -> pa.Table:
-        import polars as pl
+    def _probe(t: pa.Table) -> pa.Table:
+        sids, sh = lut()
+        x = t[a].to_numpy(zero_copy_only=False)
+        y = t[b].to_numpy(zero_copy_only=False)
+        ix = np.clip(np.searchsorted(sids, x), 0, max(len(sids) - 1, 0))
+        iy = np.clip(np.searchsorted(sids, y), 0, max(len(sids) - 1, 0))
+        if len(sids):  # a pair id missing from the corpus has no set
+            ok = np.flatnonzero((sids[ix] == x) & (sids[iy] == y))
+        else:
+            ok = np.empty(0, dtype=np.int64)
+        return fn(t.take(ok), sh[ix[ok]], sh[iy[ok]])
 
-        return pl.from_arrow(t).unique().to_arrow().cast(
-            pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
-        )
-
-    return bucket_group_apply(cand, "doc_a", _distinct)
+    return pairs.map_batches(_probe, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def verify_jaccard_pairs(
@@ -276,138 +452,19 @@ def verify_jaccard_pairs(
     *,
     threshold: float,
 ) -> ray.data.Dataset:
-    """Exact set-Jaccard verification of candidate pairs (J = |∩|/|∪|).
+    """Exact set-Jaccard verification of candidate pairs (J = |∩|/|∪|):
+    the candidate docs' string shingle sets (:func:`_map_shingle_sets`)
+    and one set test per pair."""
 
-    Shingle sets travel through the joins as one ``\\x1f``-joined string
-    per doc (hash joins don't take list-typed payload columns); shingles
-    themselves never contain ``\\x1f`` (they're \\S+ tokens + spaces).
-
-    The candidate pair set is normally ≪ the corpus, so the shingle side
-    is SEMI-JOIN-reduced first: the candidate doc-id set is broadcast and
-    each corpus batch filters to ids that appear in some pair before
-    serialization — the joins then touch only candidate docs, not the
-    whole corpus.
-    """
-    pairs = pairs.materialize()
-
-    def _ser(t: pa.Table, side: str) -> pa.Table:
-        return pa.table(
-            {
-                f"doc_{side}": t["doc_id"],
-                f"sh_{side}": pc.binary_join(t["shingles"], "\x1f"),
-            }
-        )
-
-    if pairs.count() <= 1_000_000:
-        # FAST PATH: candidate ids fit on the driver → broadcast-filter
-        # the corpus to candidate docs, broadcast their serialized shingle
-        # sets once, and verify every pair in a single stateless map —
-        # zero joins, zero actor pools.
-        ptbl = dataset_to_table(pairs)
-        ids = np.unique(
-            np.concatenate(
-                [
-                    ptbl["doc_a"].to_numpy(zero_copy_only=False),
-                    ptbl["doc_b"].to_numpy(zero_copy_only=False),
-                ]
-            )
-            if ptbl.num_rows
-            else np.empty(0, dtype=np.int64)
-        )
-        id_ref = ray.put(ids) if ray.is_initialized() else ids
-
-        def _reduce_side(t: pa.Table) -> pa.Table:
-            want = (
-                ray.get(id_ref) if isinstance(id_ref, ray.ObjectRef) else id_ref
-            )
-            keep = np.isin(t["doc_id"].to_numpy(zero_copy_only=False), want)
-            f = t.filter(pa.array(keep))
-            return pa.table(
-                {
-                    "doc_id": f["doc_id"],
-                    "sh": pc.binary_join(f["shingles"], "\x1f"),
-                }
-            )
-
-        red = dataset_to_table(
-            shingled.map_batches(
-                _reduce_side, batch_format="pyarrow", zero_copy_batch=True
-            ).materialize()
-        )
-        lut_ids = red["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(lut_ids)
-        lut = (
-            lut_ids[order],
-            np.asarray(red["sh"].to_pylist(), dtype=object)[order],
-        )
-        lut_ref = ray.put(lut) if ray.is_initialized() else lut
-
-        def _verify_direct(t: pa.Table) -> pa.Table:
-            sids, sh = (
-                ray.get(lut_ref)
-                if isinstance(lut_ref, ray.ObjectRef)
-                else lut_ref
-            )
-            a = t["doc_a"].to_numpy(zero_copy_only=False)
-            b = t["doc_b"].to_numpy(zero_copy_only=False)
-            ia = np.clip(np.searchsorted(sids, a), 0, max(len(sids) - 1, 0))
-            ib = np.clip(np.searchsorted(sids, b), 0, max(len(sids) - 1, 0))
-            if len(sids):
-                ok = (sids[ia] == a) & (sids[ib] == b)  # ids not in the LUT
-                a, b, ia, ib = a[ok], b[ok], ia[ok], ib[ok]
-            keep_a, keep_b = [], []
-            for da, db, x, y in zip(a, b, ia, ib):
-                A = set(sh[x].split("\x1f")) if sh[x] else set()
-                B = set(sh[y].split("\x1f")) if sh[y] else set()
-                union = len(A | B)
-                if union and len(A & B) / union >= threshold:
-                    keep_a.append(da)
-                    keep_b.append(db)
-            return pa.table(
-                {
-                    "doc_a": pa.array(keep_a, pa.int64()),
-                    "doc_b": pa.array(keep_b, pa.int64()),
-                }
-            )
-
-        return pairs.map_batches(
-            _verify_direct, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    # SCALE PATH: pair set too big for a driver-side id set — hash joins
-    # of the serialized shingle table against the pairs (auto broadcast /
-    # shuffle per side size)
-    sh_a = shingled.map_batches(
-        lambda t: _ser(t, "a"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    sh_b = shingled.map_batches(
-        lambda t: _ser(t, "b"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    j = join_auto(pairs, sh_a, on=("doc_a",))
-    j = join_auto(j, sh_b, on=("doc_b",))
-
-    def _verify(t: pa.Table) -> pa.Table:
-        keep_a, keep_b = [], []
-        for da, db, sa, sb in zip(
-            t["doc_a"].to_pylist(),
-            t["doc_b"].to_pylist(),
-            t["sh_a"].to_pylist(),
-            t["sh_b"].to_pylist(),
-        ):
-            A = set(sa.split("\x1f")) if sa else set()
-            B = set(sb.split("\x1f")) if sb else set()
+    def _jaccard(t: pa.Table, sh_a, sh_b) -> pa.Table:
+        keep = []
+        for sa, sb in zip(sh_a, sh_b):
+            A, B = _shingle_set(sa), _shingle_set(sb)
             union = len(A | B)
-            if union and len(A & B) / union >= threshold:
-                keep_a.append(da)
-                keep_b.append(db)
-        return pa.table(
-            {
-                "doc_a": pa.array(keep_a, pa.int64()),
-                "doc_b": pa.array(keep_b, pa.int64()),
-            }
-        )
+            keep.append(bool(union) and len(A & B) / union >= threshold)
+        return t.filter(pa.array(keep, pa.bool_())).select(["doc_a", "doc_b"])
 
-    return j.map_batches(_verify, batch_format="pyarrow", zero_copy_batch=True)
+    return _map_shingle_sets(pairs, shingled, ("doc_a", "doc_b"), _jaccard)
 
 
 def minhash_dedup_pairs(
@@ -449,77 +506,65 @@ def _pair_intersection_counts(
     max_posting: int | None,
     label: str,
 ) -> ray.data.Dataset:
-    """Shared core of the exact inverted-index similarity joins
-    (:func:`ngram_jaccard_pairs`, :func:`containment_pairs`):
-    shingle sets → (shingle_hash:int64, doc_id) postings → per-posting
-    co-occurring (doc_a < doc_b) pairs → per-pair intersection counts
-    ``(doc_a, doc_b, c)``. Only 16-byte int rows ever shuffle; hash
-    collisions (2⁻⁶⁴) can only ADD counts, so any downstream filter on
-    ``c`` keeps a superset of the true qualifying pairs — callers
-    re-verify survivors against the exact string shingle sets."""
+    """Shared prelude of the exact inverted-index similarity joins
+    (:func:`ngram_jaccard_pairs`, :func:`containment_pairs`): shingle
+    sets → ``(shingle_hash, doc_id)`` postings → the blocking core's
+    per-pair counts ``c`` = |A ∩ B| → ``(doc_a, doc_b, c, n_a, n_b)``
+    with each end's TRUE shingle-set size. Only 16-byte int rows ever
+    shuffle; hash collisions (2⁻⁶⁴) can only ADD to ``c``, so any
+    filter on ``c`` keeps a superset of the true qualifying pairs —
+    callers re-verify survivors against the exact string shingle sets.
+
+    The sizes broadcast as an id-sorted LUT when the corpus has at most
+    ``BROADCAST_THRESHOLD_ROWS`` docs, else join onto both ends through
+    ``join_auto`` — never a driver collect at catalog scale."""
 
     def _postings(t: pa.Table) -> pa.Table:
-        sh = t["shingles"].to_pylist()
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        hs = [textstats.shingle_hashes(s) for s in sh]
+        hs = [textstats.shingle_hashes(s) for s in t["shingles"].to_pylist()]
         keys = (
             np.concatenate(hs) if hs else np.empty(0, dtype=np.uint64)
         ).view(np.int64)
-        dids = np.repeat(ids, [len(h) for h in hs])
-        return pa.table(
-            {
-                "key": pa.array(keys, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-            }
+        ids = np.repeat(
+            t["doc_id"].to_numpy(zero_copy_only=False), [len(h) for h in hs]
         )
+        return pa.table({"key": pa.array(keys, _I64), "id": pa.array(ids, _I64)})
 
-    postings = shingled.map_batches(
-        _postings, batch_format="pyarrow", zero_copy_batch=True
+    counts = _co_posting_pairs(
+        shingled.map_batches(_postings, batch_format="pyarrow", zero_copy_batch=True),
+        count=True,
+        max_bucket=max_posting,
+        label=label,
     )
 
-    def _pairs_bucket(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        grp = (
-            pl.from_arrow(t)
-            .group_by("key")
-            .agg(pl.col("doc_id").sort().alias("ids"), pl.len().alias("n"))
-            .filter(pl.col("n") >= 2)
-        )
-        a, b = [], []
-        for ids in grp["ids"].to_list():
-            arr = np.asarray(ids, dtype=np.int64)
-            ai, bi = _upper_pairs(arr, max_bucket=max_posting, label=label)
-            a.append(arr[ai])
-            b.append(arr[bi])
-        a = np.concatenate(a) if a else np.empty(0, dtype=np.int64)
-        b = np.concatenate(b) if b else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {"doc_a": pa.array(a, pa.int64()), "doc_b": pa.array(b, pa.int64())}
-        )
-
-    co = bucket_group_apply(postings, "key", _pairs_bucket)
-
-    def _count_pairs(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        return (
-            pl.from_arrow(t)
-            .group_by(["doc_a", "doc_b"])
-            .agg(pl.len().cast(pl.Int64).alias("c"))
-            .to_arrow()
-            .cast(
-                pa.schema(
-                    [
-                        ("doc_a", pa.int64()),
-                        ("doc_b", pa.int64()),
-                        ("c", pa.int64()),
-                    ]
-                )
+    sz = shingled.select_columns(["doc_id", "n_shingles"])
+    if sz.count() > BROADCAST_THRESHOLD_ROWS:
+        for end in ("a", "b"):
+            counts = join_auto(
+                counts,
+                sz.map_batches(
+                    lambda t, e=end: t.rename_columns([f"doc_{e}", f"n_{e}"]),
+                    batch_format="pyarrow",
+                    zero_copy_batch=True,
+                ),
+                on=(f"doc_{end}",),
             )
-        )
+        return counts
 
-    return bucket_group_apply(co, "doc_a", _count_pairs)
+    tbl = dataset_to_table(sz)
+    ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
+    order = np.argsort(ids)
+    sizes = _share(
+        (ids[order], tbl["n_shingles"].to_numpy(zero_copy_only=False)[order])
+    )
+
+    def _sizes(t: pa.Table) -> pa.Table:
+        ids, ns = sizes()
+        for end in ("a", "b"):
+            pos = np.searchsorted(ids, t[f"doc_{end}"].to_numpy(zero_copy_only=False))
+            t = t.append_column(f"n_{end}", pa.array(ns[pos], _I64))
+        return t
+
+    return counts.map_batches(_sizes, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def ngram_jaccard_pairs(
@@ -548,6 +593,8 @@ def ngram_jaccard_pairs(
        (:func:`verify_jaccard_pairs`), so a 2⁻⁶⁴ hash collision can only
        cost a spurious candidate (removed), never a wrong survivor.
 
+    Steps 2–5 are :func:`_pair_intersection_counts`.
+
     Skew: a stop-shingle shared by millions of docs makes one posting list
     quadratic — ``max_posting`` bounds it with LOGGED truncation (an
     ultra-frequent shingle carries almost no similarity signal); default
@@ -558,68 +605,17 @@ def ngram_jaccard_pairs(
         shingled, max_posting=max_posting, label="jaccard"
     )
 
-    # per-doc TRUE shingle-set sizes. Broadcast (doc_id, n) when it fits;
-    # at catalog scale fall back to hash joins — never a driver collect.
-    sz = shingled.select_columns(["doc_id", "n_shingles"])
-    if sz.count() <= BROADCAST_THRESHOLD_ROWS:
-        sizes_tbl = dataset_to_table(sz)
-        s_ids = sizes_tbl["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(s_ids)
-        sizes = (
-            s_ids[order],
-            sizes_tbl["n_shingles"].to_numpy(zero_copy_only=False)[order],
+    def _jfilter(t: pa.Table) -> pa.Table:
+        c = t["c"].to_numpy(zero_copy_only=False)
+        union = (
+            t["n_a"].to_numpy(zero_copy_only=False)
+            + t["n_b"].to_numpy(zero_copy_only=False)
+            - c
         )
-        sz_ref = ray.put(sizes) if ray.is_initialized() else sizes
+        keep = (union > 0) & (c >= threshold * union)
+        return t.filter(pa.array(keep)).select(["doc_a", "doc_b"])
 
-        def _jfilter(t: pa.Table) -> pa.Table:
-            ids, ns = (
-                ray.get(sz_ref) if isinstance(sz_ref, ray.ObjectRef) else sz_ref
-            )
-            a = t["doc_a"].to_numpy(zero_copy_only=False)
-            b = t["doc_b"].to_numpy(zero_copy_only=False)
-            c = t["c"].to_numpy(zero_copy_only=False)
-            na = ns[np.searchsorted(ids, a)]
-            nb = ns[np.searchsorted(ids, b)]
-            union = na + nb - c
-            keep = (union > 0) & (c >= threshold * union)
-            return pa.table(
-                {
-                    "doc_a": pa.array(a[keep], pa.int64()),
-                    "doc_b": pa.array(b[keep], pa.int64()),
-                }
-            )
-
-        cand = counts.map_batches(
-            _jfilter, batch_format="pyarrow", zero_copy_batch=True
-        )
-    else:
-        sz_a = sz.map_batches(
-            lambda t: pa.table({"doc_a": t["doc_id"], "n_a": t["n_shingles"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        sz_b = sz.map_batches(
-            lambda t: pa.table({"doc_b": t["doc_id"], "n_b": t["n_shingles"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        j = join_auto(counts, sz_a, on=("doc_a",))
-        j = join_auto(j, sz_b, on=("doc_b",))
-
-        def _jfilter_joined(t: pa.Table) -> pa.Table:
-            c = t["c"].to_numpy(zero_copy_only=False)
-            union = (
-                t["n_a"].to_numpy(zero_copy_only=False)
-                + t["n_b"].to_numpy(zero_copy_only=False)
-                - c
-            )
-            keep = (union > 0) & (c >= threshold * union)
-            f = t.filter(pa.array(keep))
-            return f.select(["doc_a", "doc_b"])
-
-        cand = j.map_batches(
-            _jfilter_joined, batch_format="pyarrow", zero_copy_batch=True
-        )
+    cand = counts.map_batches(_jfilter, batch_format="pyarrow", zero_copy_batch=True)
     return verify_jaccard_pairs(cand, shingled, threshold=threshold)
 
 
@@ -646,27 +642,14 @@ def containment_pairs(
     all-pairs); each undirected candidate then fans out to the
     directions whose side passes the EXACT integer cross-multiplication
     ``den·c ≥ num·n_sub`` (float-free, mirrors the SQL oracle), and
-    survivors are re-verified against the exact string shingle sets so
-    64-bit hash collisions can only cost a discarded candidate, never a
-    wrong pair."""
+    survivors are re-verified against the exact string shingle sets
+    (:func:`_map_shingle_sets`, the fetch :func:`verify_jaccard_pairs`
+    uses) so 64-bit hash collisions can only cost a discarded
+    candidate, never a wrong pair."""
     shingled = shingle_docs(docs, k=k).materialize()
     counts = _pair_intersection_counts(
         shingled, max_posting=max_posting, label="containment"
     )
-
-    sz = shingled.select_columns(["doc_id", "n_shingles"])
-    sz_a = sz.map_batches(
-        lambda t: pa.table({"doc_a": t["doc_id"], "n_a": t["n_shingles"]}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    sz_b = sz.map_batches(
-        lambda t: pa.table({"doc_b": t["doc_id"], "n_b": t["n_shingles"]}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    j = join_auto(counts, sz_a, on=("doc_a",))
-    j = join_auto(j, sz_b, on=("doc_b",))
 
     def _directed(t: pa.Table) -> pa.Table:
         a = t["doc_a"].to_numpy(zero_copy_only=False)
@@ -678,83 +661,35 @@ def containment_pairs(
         kb = (threshold_den * c >= threshold_num * nb) & (nb > 0)
         return pa.table(
             {
-                "doc_sub": pa.array(
-                    np.concatenate([a[ka], b[kb]]), pa.int64()
-                ),
-                "doc_sup": pa.array(
-                    np.concatenate([b[ka], a[kb]]), pa.int64()
-                ),
+                "doc_sub": pa.array(np.concatenate([a[ka], b[kb]]), _I64),
+                "doc_sup": pa.array(np.concatenate([b[ka], a[kb]]), _I64),
             }
         )
 
-    cand = j.map_batches(
-        _directed, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    cand = counts.map_batches(_directed, batch_format="pyarrow", zero_copy_batch=True)
 
-    # exact re-verify on string shingle sets (broadcast fast path: the
-    # candidate set is ≪ corpus; join fallback mirrors
-    # verify_jaccard_pairs at catalog scale)
-    ptbl = dataset_to_table(cand)
-    ids = np.unique(
-        np.concatenate(
-            [
-                ptbl["doc_sub"].to_numpy(zero_copy_only=False),
-                ptbl["doc_sup"].to_numpy(zero_copy_only=False),
-            ]
-        )
-        if ptbl.num_rows
-        else np.empty(0, dtype=np.int64)
-    )
-    id_ref = ray.put(ids) if ray.is_initialized() else ids
-
-    def _reduce_side(t: pa.Table) -> pa.Table:
-        want = ray.get(id_ref) if isinstance(id_ref, ray.ObjectRef) else id_ref
-        keep = np.isin(t["doc_id"].to_numpy(zero_copy_only=False), want)
-        f = t.filter(pa.array(keep))
+    def _contained(t: pa.Table, sh_sub, sh_sup) -> pa.Table:
+        keep, inter, n_sub = [], [], []
+        for s, p in zip(sh_sub, sh_sup):
+            A, B = _shingle_set(s), _shingle_set(p)
+            c = len(A & B)
+            ok = bool(A) and threshold_den * c >= threshold_num * len(A)
+            keep.append(ok)
+            if ok:
+                inter.append(c)
+                n_sub.append(len(A))
+        f = t.filter(pa.array(keep, pa.bool_()))
         return pa.table(
             {
-                "doc_id": f["doc_id"],
-                "sh": pc.binary_join(f["shingles"], "\x1f"),
+                "doc_sub": f["doc_sub"],
+                "doc_sup": f["doc_sup"],
+                "inter": pa.array(inter, _I64),
+                "n_sub": pa.array(n_sub, _I64),
             }
         )
 
-    side = dataset_to_table(
-        shingled.map_batches(
-            _reduce_side, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-    sets = {
-        i: frozenset(s.split("\x1f")) if s else frozenset()
-        for i, s in zip(
-            side["doc_id"].to_pylist(), side["sh"].to_pylist()
-        )
-    }
-    sets_ref = ray.put(sets) if ray.is_initialized() else sets
-
-    def _verify(t: pa.Table) -> pa.Table:
-        ss = ray.get(sets_ref) if isinstance(sets_ref, ray.ObjectRef) else sets_ref
-        subs = t["doc_sub"].to_pylist()
-        sups = t["doc_sup"].to_pylist()
-        out_sub, out_sup, out_c, out_n = [], [], [], []
-        for s_id, p_id in zip(subs, sups):
-            a, b = ss.get(s_id, frozenset()), ss.get(p_id, frozenset())
-            c = len(a & b)
-            if a and threshold_den * c >= threshold_num * len(a):
-                out_sub.append(s_id)
-                out_sup.append(p_id)
-                out_c.append(c)
-                out_n.append(len(a))
-        return pa.table(
-            {
-                "doc_sub": pa.array(out_sub, pa.int64()),
-                "doc_sup": pa.array(out_sup, pa.int64()),
-                "inter": pa.array(out_c, pa.int64()),
-                "n_sub": pa.array(out_n, pa.int64()),
-            }
-        )
-
-    return cand.map_batches(
-        _verify, batch_format="pyarrow", zero_copy_batch=True
+    return _map_shingle_sets(
+        cand, shingled, ("doc_sub", "doc_sup"), _contained
     ).sort(["doc_sub", "doc_sup"])
 
 
@@ -914,11 +849,10 @@ def embedding_dup_pairs(
     :func:`embedding_dup_pairs_lsh`.
     """
     emb = emb.materialize()
-    ids, mat = _normalized_matrix(emb)
-    ref = ray.put((ids, mat)) if ray.is_initialized() else (ids, mat)
+    matrix = _share(_normalized_matrix(emb))
 
     def _scan(t: pa.Table) -> pa.Table:
-        rids, rmat = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        rids, rmat = matrix()
         q = np.array(t["embedding"].to_pylist(), dtype=np.float64)
         qn = np.linalg.norm(q, axis=1, keepdims=True)
         qn[qn == 0] = 1.0
@@ -955,11 +889,12 @@ def embedding_dup_pairs_lsh(
     Dataflow (never ships the embedding matrix through the LSH shuffle):
 
     1. map: per table ``l``, bucket key = ``l·2^b + bits`` from that
-       table's ``b = n_planes`` hyperplanes → (bucket, vec_id) INT rows;
-    2. ``bucket_group_apply(bucket)`` → candidate pairs, exact pair-gen
-       with logged/capped oversized buckets (:func:`_upper_pairs`);
-    3. distinct pairs (a pair can collide in many tables);
-    4. verify: join each side's embedding (serialized float64 bytes — hash
+       table's ``b = n_planes`` hyperplanes → (bucket, vec_id) INT
+       postings;
+    2. the blocking core (:func:`_co_posting_pairs`) → distinct candidate
+       pairs (a pair can collide in many tables), exact pair-gen with
+       logged/capped oversized buckets;
+    3. verify: join each side's embedding (serialized float64 bytes — hash
        joins don't take list columns) and keep exact cosine ≥ threshold.
 
     Recall = 1 − (1 − p^b)^L with p = 1 − θ/π: defaults (b=6, L=32) give
@@ -988,12 +923,7 @@ def embedding_dup_pairs_lsh(
         q = np.array(t["embedding"].to_pylist(), dtype=np.float64)
         nrows = len(t)
         if not nrows:
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                }
-            )
+            return pa.table({"key": pa.array([], _I64), "id": pa.array([], _I64)})
         dim = q.shape[1]
         cols = n_planes * n_tables
         signs = 1 - 2 * (
@@ -1016,48 +946,16 @@ def embedding_dup_pairs_lsh(
             np.asarray(t["vec_id"].to_pylist(), dtype=np.int64), n_tables
         )
         return pa.table(
-            {
-                "bucket": pa.array(keys.reshape(-1), pa.int64()),
-                "vec_id": pa.array(ids, pa.int64()),
-            }
+            {"key": pa.array(keys.reshape(-1), _I64), "id": pa.array(ids, _I64)}
         )
 
-    bucketed = emb.map_batches(_sig, batch_format="pyarrow", zero_copy_batch=True)
-
-    def _pairs_bucket(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        grp = (
-            pl.from_arrow(t)
-            .unique()
-            .group_by("bucket")
-            .agg(pl.col("vec_id").sort().alias("ids"), pl.len().alias("n"))
-            .filter(pl.col("n") >= 2)
-        )
-        a, b = [], []
-        for ids in grp["ids"].to_list():
-            arr = np.asarray(ids, dtype=np.int64)
-            ai, bi = _upper_pairs(arr, max_bucket=max_bucket, label="emb-lsh")
-            a.append(arr[ai])
-            b.append(arr[bi])
-        a = np.concatenate(a) if a else np.empty(0, dtype=np.int64)
-        b = np.concatenate(b) if b else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {"vec_a": pa.array(a, pa.int64()), "vec_b": pa.array(b, pa.int64())}
-        )
-
-    cand = bucket_group_apply(
-        bucketed, "bucket", _pairs_bucket, num_buckets=num_buckets
+    cand = _co_posting_pairs(
+        emb.map_batches(_sig, batch_format="pyarrow", zero_copy_batch=True),
+        cols=("vec_a", "vec_b"),
+        max_bucket=max_bucket,
+        label="emb-lsh",
+        num_buckets=num_buckets,
     )
-
-    def _distinct(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        return pl.from_arrow(t).unique().to_arrow().cast(
-            pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())])
-        )
-
-    cand = bucket_group_apply(cand, "vec_a", _distinct, num_buckets=num_buckets)
 
     def _ser(t: pa.Table, side: str) -> pa.Table:
         m = np.array(t["embedding"].to_pylist(), dtype=np.float64)
@@ -1120,6 +1018,27 @@ def embedding_dup_pairs_lsh(
     return j.map_batches(_verify, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _pair_graph_labels(
+    pairs: ray.data.Dataset, pair_cols: tuple[str, str]
+) -> ray.data.Dataset | None:
+    """``(node, label)`` connected components of the pair graph (nodes =
+    ids in some pair), or None for an empty pair set — an empty edge
+    Dataset would materialize as 0-column blocks downstream."""
+    from .canonical import connected_components
+
+    a, b = pair_cols
+    pairs = pairs.materialize()  # consumed twice: count guard + edges
+    if pairs.count() == 0:
+        return None
+    return connected_components(
+        pairs.map_batches(
+            lambda t: pa.table({"src": t[a], "dst": t[b]}),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+    )
+
+
 def dedup_apply(
     docs: ray.data.Dataset,
     pairs: ray.data.Dataset,
@@ -1140,36 +1059,17 @@ def dedup_apply(
     (the common case), else removed with a co-bucketed hash anti-join —
     the corpus itself never shuffles in either path.
     """
-    a, b = pair_cols
-
-    pairs = pairs.materialize()  # consumed twice: count guard + edges
-    if pairs.count() == 0:
-        # clean corpus: nothing to merge, nothing to drop — and an empty
-        # edge Dataset would materialize as 0-column blocks downstream
+    labels = _pair_graph_labels(pairs, pair_cols)
+    if labels is None:  # clean corpus: nothing to merge, nothing to drop
         return docs
-
-    edges = pairs.map_batches(
-        lambda t: pa.table({"src": t[a], "dst": t[b]}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    from .canonical import connected_components
-
-    labels = connected_components(edges)
     dropped = labels.filter(expr="node != label").select_columns(["node"])
 
     if dropped.count() <= broadcast_threshold:
-        drop_ref = ray.put(
-            pa.concat_tables(
-                [ray.get(r) for r in dropped.to_arrow_refs()],
-                promote_options="default",
-            )["node"].combine_chunks()
-        )
+        drop = _share(dataset_to_table(dropped)["node"].combine_chunks())
 
-        def _filter(t: pa.Table, ref=drop_ref) -> pa.Table:
-            drop = ray.get(ref)
+        def _filter(t: pa.Table) -> pa.Table:
             return t.filter(
-                pc.invert(pc.is_in(t[id_col].combine_chunks(), value_set=drop))
+                pc.invert(pc.is_in(t[id_col].combine_chunks(), value_set=drop()))
             )
 
         return docs.map_batches(
@@ -1247,7 +1147,8 @@ def fuzzy_match_pairs(
        shorter string; substitution pairs share the deletion at the
        differing position);
     3. pairs dedup on a second int-keyed shuffle (a pair can share
-       several variants);
+       several variants) — steps 2–3 are the blocking core
+       (:func:`_co_posting_pairs`);
     4. names join back via ``join_auto`` (broadcast small / co-bucketed
        big) and an exact O(len) bounded-distance check keeps true pairs —
        a hash collision can only add a candidate, never a survivor.
@@ -1269,52 +1170,16 @@ def fuzzy_match_pairs(
             out_s.extend(vs)
             out_i.extend([i] * len(vs))
         keys = stable_hash64(np.asarray(out_s, dtype=object)).view(np.int64)
-        return pa.table(
-            {
-                "key": pa.array(keys, pa.int64()),
-                "doc_id": pa.array(np.asarray(out_i, dtype=np.int64)),
-            }
-        )
+        ids = np.asarray(out_i, dtype=np.int64)
+        return pa.table({"key": pa.array(keys, _I64), "id": pa.array(ids, _I64)})
 
-    postings = names.map_batches(
-        _postings, batch_format="pyarrow", zero_copy_batch=True
+    cand = _co_posting_pairs(
+        names.map_batches(_postings, batch_format="pyarrow", zero_copy_batch=True),
+        cols=("id_a", "id_b"),
+        max_bucket=max_bucket,
+        label="fuzzy",
+        num_buckets=num_buckets,
     )
-
-    def _pairs_bucket(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        grp = (
-            pl.from_arrow(t)
-            .group_by("key")
-            .agg(pl.col("doc_id").sort().alias("ids"), pl.len().alias("n"))
-            .filter(pl.col("n") >= 2)
-        )
-        a, b = [], []
-        for ids in grp["ids"].to_list():
-            arr = np.unique(np.asarray(ids, dtype=np.int64))
-            ai, bi = _upper_pairs(arr, max_bucket=max_bucket, label="fuzzy")
-            a.append(arr[ai])
-            b.append(arr[bi])
-        a = np.concatenate(a) if a else np.empty(0, dtype=np.int64)
-        b = np.concatenate(b) if b else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {"id_a": pa.array(a, pa.int64()), "id_b": pa.array(b, pa.int64())}
-        )
-
-    cand = bucket_group_apply(
-        postings, "key", _pairs_bucket, num_buckets=num_buckets
-    )
-
-    def _dedup(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        return (
-            pl.from_arrow(t).unique(["id_a", "id_b"]).to_arrow().cast(
-                pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
-            )
-        )
-
-    cand = bucket_group_apply(cand, "id_a", _dedup, num_buckets=num_buckets)
 
     # join_auto renames the right key onto the left key, so each join
     # contributes exactly one extra column: the name
@@ -1383,44 +1248,26 @@ def minhash_cross_pairs(
     as any cross-corpus key join)."""
     import polars as pl
 
-    from ..functions import textstats
-
-    sh_old = shingle_docs(old_docs, k=k).materialize()
-    sh_new = shingle_docs(new_docs, k=k).materialize()
-
-    def _bands_side(side: int):
-        def _f(t: pa.Table) -> pa.Table:
-            sh = t["shingles"].to_pylist()
-            ids = t["doc_id"].to_pylist()
-            keep = [i for i, s in enumerate(sh) if s]
-            sh = [sh[i] for i in keep]
-            ids = [ids[i] for i in keep]
-            sigs = textstats.minhash_signatures(
-                sh, num_perm=num_perm, seed=7
-            )
-            b = _band_keys(sigs, ids, rows_per_band)
-            return b.append_column(
-                "side", pa.array([side] * b.num_rows, pa.int64())
-            )
-
-        return _f
-
-    bands = sh_old.map_batches(
-        _bands_side(0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        sh_new.map_batches(
-            _bands_side(1), batch_format="pyarrow", zero_copy_batch=True
+    def _side(shingled: ray.data.Dataset, side: int) -> ray.data.Dataset:
+        return _minhash_postings(
+            shingled,
+            num_perm=num_perm,
+            rows_per_band=rows_per_band,
+            seed=7,
+        ).map_batches(
+            lambda t: t.append_column("side", pa.repeat(side, t.num_rows)),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
-    )
 
     def _cross_bucket(t: pa.Table) -> pa.Table:
         grp = (
             pl.from_arrow(t)
             .unique()
-            .group_by("band_key")
+            .group_by("key")
             .agg(
-                pl.col("doc_id").filter(pl.col("side") == 0).alias("old"),
-                pl.col("doc_id").filter(pl.col("side") == 1).alias("new"),
+                pl.col("id").filter(pl.col("side") == 0).alias("old"),
+                pl.col("id").filter(pl.col("side") == 1).alias("new"),
             )
             .filter((pl.col("old").list.len() > 0) & (pl.col("new").list.len() > 0))
         )
@@ -1438,18 +1285,15 @@ def minhash_cross_pairs(
             b.append(np.tile(n, len(o)))
         a = np.concatenate(a) if a else np.empty(0, dtype=np.int64)
         b = np.concatenate(b) if b else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {"doc_a": pa.array(a, pa.int64()), "doc_b": pa.array(b, pa.int64())}
-        )
+        return pa.table({"doc_a": pa.array(a, _I64), "doc_b": pa.array(b, _I64)})
 
-    cand = bucket_group_apply(bands, "band_key", _cross_bucket)
-
-    def _distinct(t: pa.Table) -> pa.Table:
-        return pl.from_arrow(t).unique().to_arrow().cast(
-            pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
-        )
-
-    cand = bucket_group_apply(cand, "doc_a", _distinct)
+    sh_old, sh_new = (
+        shingle_docs(d, k=k).materialize() for d in (old_docs, new_docs)
+    )
+    bands = _side(sh_old, 0).union(_side(sh_new, 1))
+    cand = _distinct_pairs(
+        bucket_group_apply(bands, "key", _cross_bucket), ("doc_a", "doc_b")
+    )
     return verify_jaccard_pairs(
         cand, sh_old.union(sh_new), threshold=threshold
     )
@@ -1482,20 +1326,10 @@ def dedup_cluster_sizes(
     """
     import polars as pl
 
-    from ..functions.shuffle import bucket_group_apply
-    from .canonical import connected_components
-
-    a, b = pair_cols
-    pairs = pairs.materialize()  # count guard + edge build
-    if pairs.count() == 0:
+    labels = _pair_graph_labels(pairs, pair_cols)
+    if labels is None:
         return ray.data.from_arrow(CLUSTER_SIZES.empty_table())
-
-    edges = pairs.map_batches(
-        lambda t: pa.table({"src": t[a], "dst": t[b]}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    labels = connected_components(edges).select_columns(["label"])
+    labels = labels.select_columns(["label"])
 
     def _sizes(t: pa.Table) -> pa.Table:
         return (

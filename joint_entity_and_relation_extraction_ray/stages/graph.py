@@ -18,6 +18,8 @@ Shuffle discipline:
 
 from __future__ import annotations
 
+import functools
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -1371,6 +1373,43 @@ def effective_diameter(
 
 _SEP = "\x00"
 
+_LS = pa.large_string()
+_I64 = pa.int64()
+
+
+class _EmptyGraph(Exception):
+    """Raised by :func:`_undirected` / :func:`_symmetric` when the edge
+    table has no edge between two distinct nodes (empty, or self-loops
+    only); :func:`_on_empty_graph` turns it into the operator's result."""
+
+
+def _on_empty_graph(**cols):
+    """Decorate a graph operator with its result on a graph with no edge
+    between two distinct nodes: ``cols`` maps each output column to its
+    type, or to ``(type, value)`` for a one-row result (counts are 0).
+    The operator's own dataflow would otherwise meet 0-row blocks, which
+    Ray turns into a dataset with no schema, and fail on its first
+    column select."""
+    types = {c: v[0] if isinstance(v, tuple) else v for c, v in cols.items()}
+    schema = pa.schema(list(types.items()))
+    empty = (
+        pa.table({c: pa.array([v[1]], types[c]) for c, v in cols.items()})
+        if all(isinstance(v, tuple) for v in cols.values())
+        else schema.empty_table()
+    )
+
+    def deco(fn):
+        @functools.wraps(fn)
+        def op(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except _EmptyGraph:
+                return ray.data.from_arrow(empty)
+
+        return op
+
+    return deco
+
 
 def _canon_block(t: pa.Table, carry: dict):
     """Per-block canonical pairs ``a < b`` (self-loops dropped), distinct
@@ -1413,7 +1452,8 @@ def _undirected(
     per-block distinct, then one key-bucketed dedup shuffle. Each
     ``carry`` column ``name=(polars expr over the edge row, "min" |
     "max")`` rides along, reduced by its aggregate per block and again at
-    the merge (a per-bit max is a bit-OR)."""
+    the merge (a per-bit max is a bit-OR). Materialized; raises
+    :class:`_EmptyGraph` when no pair is left."""
     import polars as pl
 
     from ..functions.shuffle import bucket_group_apply
@@ -1434,18 +1474,23 @@ def _undirected(
             .to_arrow()
         )
 
-    return bucket_group_apply(
+    und = bucket_group_apply(
         edges.map_batches(_canon, batch_format="pyarrow", zero_copy_batch=True),
         "key",
         _merge,
         num_buckets=num_buckets,
     )
+    if not und.count():  # the shuffle's output: row counts are metadata
+        raise _EmptyGraph
+    return und
 
 
 def _symmetric(edges: ray.data.Dataset) -> ray.data.Dataset:
     """Per-block distinct canonical pairs emitted in both directions as
     ``(src, dst)`` — no shuffle: consumers that bucket by an endpoint
-    dedup the cross-block repeats in their own reducer."""
+    dedup the cross-block repeats in their own reducer. Materialized
+    (every consumer's shuffle would materialize it anyway); raises
+    :class:`_EmptyGraph` when no pair is left."""
     import polars as pl
 
     def _sym(t: pa.Table) -> pa.Table:
@@ -1457,7 +1502,12 @@ def _symmetric(edges: ray.data.Dataset) -> ray.data.Dataset:
             ]
         ).to_arrow()
 
-    return edges.map_batches(_sym, batch_format="pyarrow", zero_copy_batch=True)
+    sym = edges.map_batches(
+        _sym, batch_format="pyarrow", zero_copy_batch=True
+    ).materialize()
+    if not sym.count():
+        raise _EmptyGraph
+    return sym
 
 
 def _degrees(und: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:
@@ -1622,8 +1672,9 @@ def _credit(t: pa.Table) -> pa.Table:
 
 def _typed(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
     """``ds``, or an empty table of ``schema`` when ``ds`` has no rows and
-    no schema — a semi join that keeps no wedge of a triangle-free graph
-    yields no block at all, and a following join needs its columns."""
+    no schema — on a triangle-free graph the closed wedges are a 0-row
+    block, a map over it emits no block at all, and a following join
+    needs its columns."""
     if ds.schema() is not None:
         return ds
     return ray.data.from_arrow(schema.empty_table())
@@ -1672,6 +1723,7 @@ def _triangle_support(
     )
 
 
+@_on_empty_graph(n_triangles=(_I64, 0))
 def triangle_count(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -1692,6 +1744,7 @@ def triangle_count(
     )
 
 
+@_on_empty_graph(deg=_I64, n_nodes=_I64)
 def degree_histogram(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -1965,6 +2018,7 @@ def comention_counts(
     return bucket_group_apply(per_conv, "e1", _merge, num_buckets=8)
 
 
+@_on_empty_graph(u=_LS, v=_LS, n_common=_I64)
 def common_neighbor_counts(
     edges: ray.data.Dataset,
     *,
@@ -2016,6 +2070,7 @@ def common_neighbor_counts(
     return bucket_group_apply(per_hop, "u", _merge, num_buckets=8)
 
 
+@_on_empty_graph(u=_LS, v=_LS, n_common=_I64, aa_e12=_I64, ra_e12=_I64)
 def adamic_adar(
     edges: ray.data.Dataset,
     *,
@@ -2096,6 +2151,7 @@ def adamic_adar(
     return bucket_group_apply(per_hop, "u", _merge, num_buckets=8)
 
 
+@_on_empty_graph(node=_LS, deg=_I64, n_triangles=_I64)
 def node_clustering(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -2166,6 +2222,12 @@ def node_clustering(
     )
 
 
+@_on_empty_graph(
+    m=(_I64, 0),
+    s_sum=(_I64, 0),
+    s_sq=(_I64, 0),
+    s_prod=(_I64, 0),
+)
 def degree_assortativity_sums(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -2348,6 +2410,7 @@ def kcore(
     return bucket_group_apply(sym, "src", _deg, num_buckets=num_buckets)
 
 
+@_on_empty_graph(u=_LS, v=_LS, n_common=_I64, deg_u=_I64, deg_v=_I64)
 def jaccard_similarity(
     edges: ray.data.Dataset,
     *,
@@ -2412,6 +2475,7 @@ def jaccard_similarity(
     return with_v
 
 
+@_on_empty_graph(node=pa.string(), label=pa.string())
 def label_propagation(
     edges: ray.data.Dataset,
     *,
@@ -3417,6 +3481,7 @@ def minimum_spanning_forest(
     )
 
 
+@_on_empty_graph(a=pa.string(), b=pa.string())
 def ktruss(
     edges: ray.data.Dataset,
     *,
@@ -3482,6 +3547,7 @@ def ktruss(
     ).sort(["a", "b"])
 
 
+@_on_empty_graph(start=_LS, walk=_I64, step=_I64, node=_LS)
 def random_walks(
     edges: ray.data.Dataset,
     *,
@@ -3509,32 +3575,11 @@ def random_walks(
 
     num_partitions = num_partitions or default_partitions()
 
-    def _sym(t: pa.Table) -> pa.Table:
-        u = t["subj_id"].combine_chunks()
-        v = t["obj_id"].combine_chunks()
-        out = pa.table(
-            {
-                "src": pa.concat_arrays([u, v]),
-                "dst": pa.concat_arrays([v, u]),
-            }
-        )
-        return (
-            pl.from_arrow(out)
-            .filter(pl.col("src") != pl.col("dst"))
-            .unique()
-            .to_arrow()
-        )
-
     def _rank(t: pa.Table) -> pa.Table:
         if not t.num_rows:
-            return pa.table(
-                {
-                    "src": pa.array([], pa.string()),
-                    "dst": pa.array([], pa.string()),
-                    "rnk": pa.array([], pa.int64()),
-                    "deg": pa.array([], pa.int64()),
-                }
-            )
+            return pa.schema(
+                [("src", _LS), ("dst", _LS), ("rnk", _I64), ("deg", _I64)]
+            ).empty_table()
         return (
             pl.from_arrow(t)
             .unique()
@@ -3547,10 +3592,7 @@ def random_walks(
         )
 
     adj = bucket_group_apply(
-        edges.map_batches(_sym, batch_format="pyarrow", zero_copy_batch=True),
-        "src",
-        _rank,
-        num_buckets=num_partitions,
+        _symmetric(edges), "src", _rank, num_buckets=num_partitions
     ).materialize()
 
     deg = adj.filter(expr="rnk == 0").map_batches(
@@ -3565,19 +3607,18 @@ def random_walks(
     )
 
     def _starts(t: pa.Table) -> pa.Table:
+        # large_string like the later steps' ``node`` (polars output), so
+        # every frontier part has one schema
         nodes = t["node"].to_pylist()
+        starts = pa.array([n for n in nodes for _ in range(n_walks)], _LS)
         return pa.table(
             {
-                "start": pa.array(
-                    [n for n in nodes for _ in range(n_walks)], pa.string()
-                ),
+                "start": starts,
                 "walk": pa.array(
                     [w for _ in nodes for w in range(n_walks)], pa.int64()
                 ),
                 "step": pa.array([0] * (len(nodes) * n_walks), pa.int64()),
-                "node": pa.array(
-                    [n for n in nodes for _ in range(n_walks)], pa.string()
-                ),
+                "node": starts,
             }
         )
 
@@ -4163,6 +4204,7 @@ def entity_churn(
     ).sort("day")
 
 
+@_on_empty_graph(a=_LS, b=_LS, support=_I64)
 def edge_support(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -5405,6 +5447,7 @@ def bowtie_decomposition(
     )
 
 
+@_on_empty_graph(n_club=(_I64, 0), n_within=(_I64, 0), n_possible=(_I64, 0))
 def rich_club_edges(
     edges: ray.data.Dataset,
     *,
@@ -5458,6 +5501,7 @@ def rich_club_edges(
     )
 
 
+@_on_empty_graph(close_us=_I64)
 def triangle_close_stream(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -5520,6 +5564,11 @@ def _triadic_closed(
     )
 
 
+@_on_empty_graph(
+    n_triangles=(_I64, 0),
+    sum_close_us=(_I64, 0),
+    max_close_us=(_I64, 0),
+)
 def triadic_closure_times(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:
@@ -5664,6 +5713,12 @@ def reciprocity_lag(
     )
 
 
+@_on_empty_graph(
+    n_triangles=(_I64, 0),
+    n_with_mutual=(_I64, 0),
+    n_cyclic=(_I64, 0),
+    n_transitive=(_I64, 0),
+)
 def triad_census(
     edges: ray.data.Dataset, *, num_buckets: int = 32
 ) -> ray.data.Dataset:

@@ -38,6 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from ..functions.shuffle import bucket_group_apply, cobucket_apply
 
@@ -129,6 +130,10 @@ def membership_join(
     matching ``NOT EXISTS`` — callers wanting ``NOT IN`` null semantics
     should pre-filter)."""
     right_on = right_on or on
+    if isinstance(left, MaterializedDataset) and left.count() == 0:
+        # no left row to keep or drop: the left itself, whose schema a
+        # map over its 0-row blocks would lose (Ray emits no block)
+        return left
     keys = distinct_keys(right, right_on, num_buckets=min(num_buckets, 16))
 
     if keys.count() == 0:

@@ -189,6 +189,80 @@ def test_ngram_jaccard_large_side_join_path(ray_session, monkeypatch):
     assert set(zip(pairs["doc_a"], pairs["doc_b"])) == {(0, 1)}
 
 
+def test_shingle_set_join_path_equals_broadcast_path(ray_session, monkeypatch):
+    """Above BROADCAST_THRESHOLD_ROWS candidate pairs, the shingle sets of
+    verify_jaccard_pairs and containment_pairs come through hash joins
+    instead of the broadcast LUT: the same corpus must give exactly the
+    same pairs (and containment counts) on both paths."""
+    from joint_entity_and_relation_extraction_ray.stages import dedup as dd
+
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(30)]
+    long_doc = " ".join(rng.choice(vocab, size=90))
+    texts = [long_doc, " ".join(long_doc.split()[20:40])]  # excerpt
+    texts += [" ".join(rng.choice(vocab, size=25)) for _ in range(14)]
+    texts.append(texts[4].replace("w3", "w29"))  # near-dup
+    texts.append(texts[6])  # exact dup
+    texts.append("")  # no shingles
+    ds = _docs(texts)
+    shingled = dd.shingle_docs(ds).materialize()
+    # every pair as candidates, plus one naming a doc that is not there
+    n = len(texts)
+    pairs = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_a": pa.array([i for i in range(n) for j in range(i + 1, n)] + [0], pa.int64()),
+                "doc_b": pa.array([j for i in range(n) for j in range(i + 1, n)] + [99], pa.int64()),
+            }
+        )
+    )
+
+    def run():
+        ver = _collect(dd.verify_jaccard_pairs(pairs, shingled, threshold=0.5))
+        con = _collect(dd.containment_pairs(ds))
+        return (
+            sorted(zip(ver["doc_a"], ver["doc_b"])),
+            sorted(zip(con["doc_sub"], con["doc_sup"], con["inter"], con["n_sub"])),
+        )
+
+    joins = []
+    real_join_auto = dd.join_auto
+    monkeypatch.setattr(
+        dd, "join_auto", lambda *a, **kw: joins.append(kw["on"]) or real_join_auto(*a, **kw)
+    )
+    broadcast = run()
+    assert joins == []  # the broadcast path joins nothing
+    monkeypatch.setattr(dd, "BROADCAST_THRESHOLD_ROWS", 0)
+    joined = run()
+    # verify: doc_a, doc_b; containment: sizes onto doc_a, doc_b, then
+    # shingle sets onto doc_sub, doc_sup
+    assert joins == [("doc_a",), ("doc_b",), ("doc_a",), ("doc_b",), ("doc_sub",), ("doc_sup",)]
+    assert joined == broadcast
+    ver, con = broadcast
+    assert (4, n - 3) in ver and (6, n - 2) in ver
+    assert (1, 0, 18, 18) in con
+
+
+def test_upper_pairs_chunked_branch_and_truncation(caplog):
+    """Buckets over 4,096 ids take the chunked pair generator, which must
+    give exactly np.triu_indices; max_bucket keeps the first ids, logged."""
+    for n in (4097, 5000):
+        ids = np.arange(n, dtype=np.int64) * 3
+        a, b = dedup._upper_pairs(ids, max_bucket=None, label="t")
+        ta, tb = np.triu_indices(n, k=1)
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, ta)
+        np.testing.assert_array_equal(b, tb)
+    with caplog.at_level("WARNING", logger=dedup.log.name):
+        a, b = dedup._upper_pairs(np.arange(5000), max_bucket=4500, label="t")
+    ta, tb = np.triu_indices(4500, k=1)
+    np.testing.assert_array_equal(a, ta)
+    np.testing.assert_array_equal(b, tb)
+    assert "truncating bucket 5000 -> 4500 ids (max_bucket)" in caplog.text
+    a, b = dedup._upper_pairs(np.arange(10), max_bucket=4, label="t")
+    assert set(zip(a, b)) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
+
+
 def test_simhash_dedup_and_near(ray_session):
     near = BASE.replace("kappa", "kappax")
     ds = _docs([BASE, BASE, near, "something else entirely different words"])

@@ -1680,6 +1680,88 @@ def test_random_walks_match_reference_simulator(ray_session):
     assert got == sorted(want)
 
 
+def test_random_walks_frontier_parts_share_one_schema(ray_session, monkeypatch):
+    """Step 0 (built from the degree table) and the later steps (polars
+    join output) must union parts of one schema: mixed string /
+    large_string parts make Ray warn about mixed RefBundle schemas."""
+    import pyarrow as pa
+    import ray.data
+
+    from joint_entity_and_relation_extraction_ray.stages.graph import (
+        random_walks,
+    )
+
+    schemas = []
+    union = ray.data.Dataset.union
+
+    def spy(self, *others):
+        schemas.extend(d.schema() for d in (self, *others))
+        return union(self, *others)
+
+    monkeypatch.setattr(ray.data.Dataset, "union", spy)
+    ds = ray.data.from_arrow(
+        pa.table({"subj_id": ["a", "b", "c"], "obj_id": ["b", "c", "a"]})
+    )
+    assert random_walks(ds, n_walks=2, length=2).count() == 3 * 2 * 3
+    assert len(schemas) == 4
+    first = schemas[0]
+    assert first.types == [pa.large_string(), pa.int64(), pa.int64(), pa.large_string()]
+    assert all(s == first for s in schemas)
+
+
+EMPTY_GRAPH_RESULTS = {
+    # one row of zeros
+    "triangle_count": {"n_triangles": 0},
+    "degree_assortativity_sums": {"m": 0, "s_sum": 0, "s_sq": 0, "s_prod": 0},
+    "triadic_closure_times": {"n_triangles": 0, "sum_close_us": 0, "max_close_us": 0},
+    "triad_census": {"n_triangles": 0, "n_with_mutual": 0, "n_cyclic": 0, "n_transitive": 0},
+    "rich_club_edges": {"n_club": 0, "n_within": 0, "n_possible": 0},
+    # no rows, typed columns
+    "node_clustering": ["node", "deg", "n_triangles"],
+    "edge_support": ["a", "b", "support"],
+    "jaccard_similarity": ["u", "v", "n_common", "deg_u", "deg_v"],
+    "label_propagation": ["node", "label"],
+    "random_walks": ["start", "walk", "step", "node"],
+    "degree_histogram": ["deg", "n_nodes"],
+    "common_neighbor_counts": ["u", "v", "n_common"],
+    "adamic_adar": ["u", "v", "n_common", "aa_e12", "ra_e12"],
+    "ktruss": ["a", "b"],
+    "triangle_close_stream": ["close_us"],
+}
+
+
+@pytest.mark.parametrize("rows", [[], [("x", "x")]], ids=["empty", "self_loop"])
+def test_graph_operators_on_a_graph_without_edges(ray_session, rows):
+    """An edge table with no edge between two distinct nodes (empty, or
+    self-loops only) gives every undirected-graph operator its zero row
+    or a typed empty result, not a KeyError."""
+    import pyarrow as pa
+    import ray.data
+
+    from joint_entity_and_relation_extraction_ray.schema import EDGES
+    from joint_entity_and_relation_extraction_ray.stages import graph as g
+
+    t = pa.table(
+        {
+            "subj_id": [s for s, _ in rows],
+            "pred": ["p"] * len(rows),
+            "obj_id": [o for _, o in rows],
+            "weight": [1] * len(rows),
+            "first_ts": [0] * len(rows),
+            "last_ts": [0] * len(rows),
+            "part": [0] * len(rows),
+        },
+        schema=EDGES,
+    )
+    for op, want in EMPTY_GRAPH_RESULTS.items():
+        out = getattr(g, op)(ray.data.from_arrow(t))
+        if isinstance(want, dict):
+            assert out.take_all() == [want], op
+        else:
+            assert out.count() == 0, op
+            assert out.schema().names == want, op
+
+
 def test_object_conflicts_and_functionality(ray_session):
     import pyarrow as pa
     import ray.data

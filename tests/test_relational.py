@@ -395,6 +395,24 @@ def test_membership_semi_and_anti(ray_session):
     assert sorted(r["k"] for r in anti.take_all()) == [1, 3, 5]
 
 
+def test_membership_join_of_an_empty_left_keeps_its_schema(ray_session):
+    """A left side of one 0-row block: semi and anti keep no row, and the
+    result still has the left's columns for a following select or join."""
+    from joint_entity_and_relation_extraction_ray.stages.relational import (
+        membership_join,
+    )
+
+    schema = pa.schema([("k", pa.int64()), ("v", pa.string())])
+    left = ray.data.from_arrow(schema.empty_table())
+    right = _ds({"rk": [1, 2]})
+    for anti in (False, True):
+        out = membership_join(left, right, on="k", right_on="rk", anti=anti)
+        assert out.count() == 0
+        assert out.schema().names == ["k", "v"]
+        assert out.schema().types == [pa.int64(), pa.string()]
+        assert out.select_columns(["v"]).count() == 0
+
+
 def test_membership_join_shuffle_path_matches_broadcast(ray_session):
     from joint_entity_and_relation_extraction_ray.stages.relational import (
         membership_join,
