@@ -141,6 +141,16 @@ def _split_refs(
     return [list(r) for r in out], schema
 
 
+def with_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
+    """``ds`` plus one 0-row block of ``schema``, so that it keeps that
+    schema when every other block is empty: a Ray Data map over 0-row
+    blocks emits no block, and an empty dataset with no block has no
+    schema for a shuffle side, a column select or a sink. Nothing runs
+    to add it; place it after the last map of a fused chain (a map
+    downstream of it drops the block again)."""
+    return ds.union(ray.data.from_arrow(schema.empty_table()))
+
+
 def _dataset_from_reduce_pairs(pairs) -> ray.data.Dataset:
     """Build the output Dataset from (num_rows_ref, table_ref) reduce
     results, DROPPING 0-row buckets (keeping one typed empty if all are).

@@ -112,7 +112,7 @@ def kg_stages(
     combined → mentions, triples → linked → tagged (the one conv-bucketed
     shuffle, stages/fused.py) → labels (CC over the entity-merge edges,
     run once) → canon, rewritten → edges, nodes."""
-    from ..schema import CANON, LINKED, MENTIONS, TRIPLES
+    from ..schema import CANON, EDGES, LINKED, MENTIONS, NODES, TRIPLES
     from ..stages import fused
     from ..stages.graph import build_edges, node_rollup
     from ..stages.linker import link_mentions
@@ -132,6 +132,12 @@ def kg_stages(
 
     def _with_labels(fn):
         return lambda u: fn(u["tagged"], fused.label_mapping(u["labels"]))
+
+    # the graph stages' contract is their columns less `part`: `part` is
+    # their partition directory and reads back as a string
+    edges_cols, nodes_cols = (
+        s.remove(s.get_field_index("part")) for s in (EDGES, NODES)
+    )
 
     return [
         CombinedStage(
@@ -177,6 +183,7 @@ def kg_stages(
         _FnStage(
             "edges", ["rewritten"],
             lambda u: build_edges(u["rewritten"]),
+            output_schema=edges_cols,
         ),
         _FnStage(
             "nodes", ["tagged", "labels"],
@@ -184,6 +191,7 @@ def kg_stages(
                 _with_labels(fused.node_rows_from_tagged)(u), entity_names
             ),
             params={"entities": entities_sig},
+            output_schema=nodes_cols,
         ),
     ]
 

@@ -44,7 +44,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.shuffle import cobucket_apply
+from ..functions.shuffle import cobucket_apply, with_schema
 from ..functions.text import normalize_surface_array
 from ..schema import CANON, stable_bucket, stable_hash64
 from .canonical import connected_components
@@ -59,6 +59,29 @@ TAGGED = pa.schema(
         ("ent_type", pa.string()),
         ("obj_rep", pa.string()),
         ("obj_ent", pa.string()),
+        ("pred", pa.string()),
+        ("ts", pa.timestamp("us")),
+    ]
+)
+
+
+# build_tagged's two shuffle sides: mentions and triples projected to
+# their conv bucket and int64 group keys
+_M_SIDE = pa.schema(
+    [
+        ("_bucket", pa.int32()),
+        ("grp", pa.int64()),
+        ("mention_id", pa.string()),
+        ("entity", pa.string()),
+        ("surface", pa.string()),
+        ("ent_type", pa.string()),
+    ]
+)
+_T_SIDE = pa.schema(
+    [
+        ("_bucket", pa.int32()),
+        ("sgrp", pa.int64()),
+        ("ogrp", pa.int64()),
         ("pred", pa.string()),
         ("ts", pa.timestamp("us")),
     ]
@@ -115,7 +138,8 @@ def build_tagged(
                 "entity": t["cand_entity_id"],
                 "surface": t["surface"],
                 "ent_type": t["ent_type"],
-            }
+            },
+            schema=_M_SIDE,
         )
 
     def _t_proj(t: pa.Table) -> pa.Table:
@@ -126,11 +150,20 @@ def build_tagged(
                 "ogrp": _grp_hash(t["conv_id"], t["obj_surface"]),
                 "pred": t["pred"],
                 "ts": t["ts"],
-            }
+            },
+            schema=_T_SIDE,
         )
 
-    m_in = linked.map_batches(_m_proj, batch_format="pyarrow", zero_copy_batch=True)
-    t_in = triples.map_batches(_t_proj, batch_format="pyarrow", zero_copy_batch=True)
+    # typed sides: a corpus that names no entity still shuffles (and
+    # yields a TAGGED empty) instead of meeting a side with no schema
+    m_in = with_schema(
+        linked.map_batches(_m_proj, batch_format="pyarrow", zero_copy_batch=True),
+        _M_SIDE,
+    )
+    t_in = with_schema(
+        triples.map_batches(_t_proj, batch_format="pyarrow", zero_copy_batch=True),
+        _T_SIDE,
+    )
 
     def _bucket_fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
         import polars as pl

@@ -161,9 +161,13 @@ def write_graph(
 ) -> None:
     """S4: partitioned parquet write — one directory per `part` bucket so a
     rerun can skip finished partitions and a consumer can prune by key
-    range (SURVEY.md §4.4 'resumable output')."""
-    nodes.write_parquet(f"{out_dir}/nodes", partition_cols=["part"])
-    edges.write_parquet(f"{out_dir}/edges", partition_cols=["part"])
+    range (SURVEY.md §4.4 'resumable output'). A graph with no rows (a
+    corpus that names no entity) is written as one 0-row file of its
+    schema, so it still reads back."""
+    from ..state.checkpoint import write_parquet
+
+    write_parquet(nodes, f"{out_dir}/nodes", NODES, partition_cols=["part"])
+    write_parquet(edges, f"{out_dir}/edges", EDGES, partition_cols=["part"])
 
 
 TWO_HOP = pa.schema(

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Callable
 
 import pyarrow as pa
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import ray.data
 
@@ -89,6 +90,35 @@ def parquet_sig(path: str | Path) -> str:
     return h.hexdigest()[:16]
 
 
+def write_parquet(
+    ds: ray.data.Dataset, path: str, schema, *, partition_cols=None
+) -> None:
+    """``ds.write_parquet(path)``, and where that wrote no file, one 0-row
+    ``empty.parquet`` of ``schema`` less ``partition_cols`` (the columns a
+    reader finds in the data files): Ray Data writes nothing for 0 rows
+    (and reports no schema for an empty mapped Dataset), so without it an
+    empty output would not read back. ``path`` is a local path or a
+    filesystem URI."""
+    ds.write_parquet(path, partition_cols=partition_cols)
+    fs, root = pafs.FileSystem.from_uri(
+        path if "://" in path else os.path.abspath(path)
+    )
+    found = fs.get_file_info(
+        pafs.FileSelector(root, recursive=True, allow_not_found=True)
+    )
+    if any(f.is_file and f.path.endswith(".parquet") for f in found):
+        return
+    if schema is None:
+        raise ValueError(
+            f"{path}: the stage yielded no rows and its schema is unknown "
+            "(declare the stage's output_schema)"
+        )
+    fs.create_dir(root)
+    drop = set(partition_cols or ())
+    empty = pa.schema([(f.name, f.type) for f in schema if f.name not in drop])
+    pq.write_table(empty.empty_table(), f"{root}/empty.parquet", filesystem=fs)
+
+
 def _write_stage(
     ds: ray.data.Dataset, tmp: Path, declared, *, partition: bool = False
 ) -> tuple[dict[str, int], object]:
@@ -100,32 +130,21 @@ def _write_stage(
     Dataset's own schema when that is not known without executing the
     stage: ``ds.schema()`` of a lazy Dataset runs its first block, and an
     actor-pool stage spins its pool up for it. A stage that yields no rows
-    still leaves one 0-row file of that schema (Ray Data writes no
-    directory for 0 rows, and reports no schema for an empty mapped
-    Dataset), so the checkpoint reads back, and its manifest lets a
-    resubmission skip the stage, like any other."""
+    still leaves one 0-row file of that schema (:func:`write_parquet`), so
+    the checkpoint reads back, and its manifest lets a resubmission skip
+    the stage, like any other."""
     schema = ds.schema(fetch_if_missing=False) or declared or ds.schema()
     part_cols = (
         ["part"] if partition and schema and "part" in schema.names else None
     )
     if tmp.exists():
         shutil.rmtree(tmp)
-    ds.write_parquet(str(tmp), partition_cols=part_cols)
+    write_parquet(ds, str(tmp), schema, partition_cols=part_cols)
     files = {
         str(f.relative_to(tmp)): pq.ParquetFile(f).metadata.num_rows
         for f in sorted(tmp.rglob("*.parquet"))
     }
-    if files:
-        return files, schema
-    if schema is None:
-        raise ValueError(
-            f"{tmp.name}: the stage yielded no rows and its schema is unknown "
-            "(declare the stage's output_schema)"
-        )
-    tmp.mkdir(parents=True, exist_ok=True)
-    empty = pa.schema(list(zip(schema.names, schema.types)))
-    pq.write_table(empty.empty_table(), tmp / "empty.parquet")
-    return {"empty.parquet": 0}, schema
+    return files, schema
 
 
 def _schema_dict(schema) -> dict[str, str]:
@@ -342,11 +361,10 @@ class Checkpointer:
                 indent=1,
             )
         )
-        ds = ray.data.read_parquet(str(out_dir))
-        if "part" not in stage_schema:
-            # drop the hive-partition column the shard layout added
-            ds = ds.drop_columns(["part"])
-        return ds
+        # the part=<k> directories are the shard layout, not a column:
+        # without partitioning the schema comes from the file footers,
+        # known without running anything
+        return ray.data.read_parquet(str(out_dir), partitioning=None)
 
 
 # -- iterative-algorithm state checkpoints ----------------------------------

@@ -137,6 +137,54 @@ def test_partition_level_resume(tmp_path, ray_session):
     assert df3.equals(df1)
 
 
+def test_partitioned_readback_schema_known_and_resubmission_identical(
+    tmp_path, ray_session
+):
+    """The ``combined`` stage reads back from its ``part=<k>`` shards with
+    the declared COMBINED schema known without executing anything (the
+    runner's output-schema check then runs no Ray Data job), and a
+    resubmitted job rebuilds no shard and reads back the same rows."""
+    import shutil
+
+    from joint_entity_and_relation_extraction_ray.pipelines.run import kg_stages
+    from joint_entity_and_relation_extraction_ray.pipelines.stage import (
+        run_pipeline,
+    )
+    from joint_entity_and_relation_extraction_ray.stages.scorer import COMBINED
+
+    corpus = ensure_corpus("sf0.001")
+    src = tmp_path / "transcripts"
+    src.mkdir()
+    for f in sorted((corpus / "transcripts").glob("*.parquet"))[:2]:
+        shutil.copy(f, src / f.name)
+
+    def combined():
+        stage = kg_stages(
+            str(src),
+            str(corpus / "aliases.parquet"),
+            str(corpus / "entities.parquet"),
+        )[0]
+        assert stage.name == "combined" and stage.num_shards == 2
+        ck = Checkpointer(tmp_path / "out")
+        return run_pipeline([stage], checkpointer=ck)["combined"]
+
+    def rows(ds):
+        t = ds.to_pandas()
+        return sorted(map(tuple, t.astype(str).itertuples(index=False)))
+
+    first = combined()
+    assert first.schema(fetch_if_missing=False).base_schema == COMBINED
+    files = {
+        f: f.stat().st_mtime_ns for f in (tmp_path / "out").rglob("*.parquet")
+    }
+    again = combined()
+    assert again.schema(fetch_if_missing=False).base_schema == COMBINED
+    assert {
+        f: f.stat().st_mtime_ns for f in (tmp_path / "out").rglob("*.parquet")
+    } == files
+    assert rows(again) == rows(first) and len(rows(first)) > 0
+
+
 def test_partition_incremental_input_change(tmp_path, ray_session):
     """A changed input shard (per-partition params) recomputes exactly its
     partition; the stage fingerprint still changes for downstream."""
