@@ -1,16 +1,22 @@
 """Bucketed shuffle primitives.
 
 ``bucket_group_apply`` / ``cobucket_apply`` hash-bucket rows by a key and
-run a vectorized callback per bucket with all co-keyed rows local — the
+run a vectorized callback per reducer with all co-keyed rows local — the
 engine's grouped-apply and big–big-join primitives.
 
 Physical implementation: one two-stage SPLIT → REDUCE shuffle on raw Ray
 tasks over the dataset's Arrow block refs (zero-copy out of the object
-store), written once (``_exchange``) for both primitives. Each split task
-sorts its blocks by bucket id and returns one slice per bucket
-(``num_returns=B``); each reduce task concatenates every side's slices of
-its bucket and applies the callback; the result is re-wrapped as a
-``ray.data.Dataset`` via ``from_arrow_refs``. Measured on 16M rows × 7
+store), written once (``_exchange``) for both primitives. ``num_buckets``
+is the hash space; bucket ``b`` is reduced by reducer ``b % R``, with
+``R`` = min(num_buckets, max(2 × session CPUs, ⌈input bytes ÷
+``DataContext.target_max_block_size``⌉)) reduce tasks. Each split task
+sorts its blocks by reducer and returns one slice per reducer
+(``num_returns=R``); each reduce task concatenates every side's slices
+and applies the callback once, to all rows of its buckets; the result is
+re-wrapped as a ``ray.data.Dataset`` via ``from_arrow_refs``, at most
+``R`` blocks. Sizing ``R`` by the session instead of by ``num_buckets``
+keeps a small input from becoming 64 tiny blocks that every later Ray
+Data step pays a fixed cost per block for. Measured on 16M rows × 7
 string cols (single node, 32 CPUs): 6 s, vs 23 s for ``Dataset.sort`` and
 102 s for ``groupby().map_groups`` with an identity UDF — the Dataset
 API expresses this but its sort-based all-to-all dominated pipeline wall
@@ -18,10 +24,14 @@ time, which is the "raw Ray tasks as a last resort, document the
 partitioning assumption" case (driver brief).
 
 Partitioning assumptions (documented per the brief):
-- one bucket's rows fit in a reduce worker's heap (callers bound bucket
-  content: conv-keyed data is bounded per conv; aggregations pre-combine
-  per block so hot keys arrive ≤ once per block);
-- the driver holds O(split tasks × buckets) object refs, with at most
+- one reducer's rows fit in a reduce worker's heap: below
+  ``num_buckets`` reducers a reducer averages at most
+  ``target_max_block_size`` bytes, and at ``num_buckets`` it holds one
+  bucket (callers bound bucket content: conv-keyed data is bounded per
+  conv; aggregations pre-combine per block so hot keys arrive ≤ once per
+  block). Folding buckets onto fewer reducers sums whole buckets, so no
+  reducer is more skewed than its hottest bucket;
+- the driver holds O(split tasks × reducers) object refs, with at most
   2 × CPU split tasks per side.
 
 Inputs larger than the object store spill through Ray's object spilling
@@ -56,15 +66,25 @@ def _keys_to_numpy(keys) -> np.ndarray:
     return np.asarray(keys, dtype=object)
 
 
-def _split_block(tbl: pa.Table, bucket_ids: np.ndarray, num_buckets: int):
-    order = np.argsort(bucket_ids, kind="stable")
+def _split_block(tbl: pa.Table, part_ids: np.ndarray, num_parts: int):
+    order = np.argsort(part_ids, kind="stable")
     st = tbl.take(order)
-    bs = bucket_ids[order]
-    bounds = np.searchsorted(bs, np.arange(num_buckets + 1))
+    ps = part_ids[order]
+    bounds = np.searchsorted(ps, np.arange(num_parts + 1))
     return tuple(
         st.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-        for i in range(num_buckets)
+        for i in range(num_parts)
     )
+
+
+def _session_cpus() -> int:
+    """The Ray session's CPU count (8 when Ray cannot tell): an exchange
+    runs at most 2 × this many split tasks per side, and at least
+    2 × this many reduce tasks when it has that many buckets."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
 
 
 def _check_bucket_ids(col: "pa.ChunkedArray", name: str, num_buckets: int):
@@ -85,60 +105,74 @@ def _split_refs(
     mat: ray.data.Dataset,
     key_fn: Callable[[pa.Table], "pa.Array"] | str,
     num_buckets: int,
+    reducers: int,
 ) -> tuple[list, pa.Schema]:
     """One split task per chunk of a MATERIALIZED dataset's Arrow blocks →
-    (per-task lists of bucket slice refs, schema). Zero-copy reads from
-    plasma. Ray represents 0-row blocks as 0-COLUMN tables; reducers use
-    the returned schema to rebuild typed empties.
+    (per-task lists of ``reducers`` slice refs, schema); bucket ``b``'s
+    rows go to slice ``b % reducers``, in input order. Zero-copy reads
+    from plasma. Ray represents 0-row blocks as 0-COLUMN tables; reducers
+    use the returned schema to rebuild typed empties.
 
     ``key_fn`` is a callable key extractor whose values hash with the
-    house ``stable_bucket``, or the NAME of a precomputed int bucket
-    column in [0, num_buckets) — cheaper than hashing inside the split
-    task, and the raw key strings never travel through the shuffle."""
+    house ``stable_bucket`` into ``num_buckets``, or the NAME of a
+    precomputed int bucket column in [0, num_buckets) — cheaper than
+    hashing inside the split task, and the raw key strings never travel
+    through the shuffle."""
     bucket_col = key_fn if isinstance(key_fn, str) else None
 
-    @ray.remote(num_returns=num_buckets)
+    @ray.remote(num_returns=reducers)
     def _split(*tbls: pa.Table):
         # with num_returns=1 Ray does NOT unpack a returned 1-tuple — the
         # single object must be the bare table, not (table,)
         tt = [t for t in tbls if t.num_rows]
         if not tt:
             empty = tbls[0]
-            if num_buckets == 1:
+            if reducers == 1:
                 return empty
-            return tuple(empty for _ in range(num_buckets))
+            return tuple(empty for _ in range(reducers))
         tbl = tt[0] if len(tt) == 1 else pa.concat_tables(
             tt, promote_options="default"
         )
         if bucket_col is not None:
             _check_bucket_ids(tbl[bucket_col], bucket_col, num_buckets)
-        if num_buckets == 1:
+        if reducers == 1:
             return tbl
         if bucket_col is not None:
             b = tbl[bucket_col].to_numpy(zero_copy_only=False)
         else:
             b = stable_bucket(_keys_to_numpy(key_fn(tbl)), num_buckets)
-        return _split_block(tbl, b, num_buckets)
+        return _split_block(tbl, b % reducers, reducers)
 
     s = mat.schema()
     schema = pa.schema(list(zip(s.names, s.types)))
     blocks = mat.to_arrow_refs()
     # chunk blocks into ~2×CPU split tasks: the driver otherwise holds
-    # O(blocks × buckets) refs, and >10^5 tiny objects made the 6 s shuffle
-    # a 90 s one (measured)
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    n_chunks = max(1, min(len(blocks), 2 * ncpu))
+    # O(blocks × reducers) refs, and >10^5 tiny objects made the 6 s
+    # shuffle a 90 s one (measured)
+    n_chunks = max(1, min(len(blocks), 2 * _session_cpus()))
     chunk_size = (len(blocks) + n_chunks - 1) // n_chunks
     chunks = [
         blocks[i : i + chunk_size] for i in range(0, len(blocks), chunk_size)
     ]
     out = [_split.remote(*ch) for ch in chunks]
-    if num_buckets == 1:  # num_returns=1 yields a bare ref
+    if reducers == 1:  # num_returns=1 yields a bare ref
         return [[r] for r in out], schema
     return [list(r) for r in out], schema
+
+
+def _reducer_count(mats: list[ray.data.Dataset], num_buckets: int) -> int:
+    """Reduce tasks for one exchange over the MATERIALIZED ``mats``:
+    min(num_buckets, max(2 × session CPUs, ⌈their bytes ÷
+    ``target_max_block_size``⌉)). The size term gives a large input on a
+    small session all ``num_buckets`` reducers, so a reducer averages at
+    most one target block or one bucket; an unknown size or target keeps
+    one reducer per bucket."""
+    target = ray.data.DataContext.get_current().target_max_block_size
+    sizes = [m.size_bytes() for m in mats]
+    if not target or None in sizes:
+        return num_buckets
+    by_size = -(-sum(sizes) // target)
+    return max(1, min(num_buckets, max(2 * _session_cpus(), by_size)))
 
 
 def with_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
@@ -176,17 +210,19 @@ def _exchange(
 ) -> ray.data.Dataset:
     """The one split → reduce shuffle behind both primitives. ``sides``
     lists ``(dataset, key)`` pairs, ``key`` as in :func:`_split_refs`.
-    Every side is split into ``num_buckets`` buckets by its key; one
-    reduce task per bucket concatenates each side's slices (or builds
-    that side's typed empty) and returns ``fn(*tables)``.
+    Every side is hashed into ``num_buckets`` buckets by its key and split
+    by reducer (bucket ``b`` → reducer ``b % R``, ``R`` from
+    :func:`_reducer_count`); each reduce task concatenates each side's
+    slices (or builds that side's typed empty) and returns
+    ``fn(*tables)``, so ``fn`` sees every row of its buckets, all keys
+    of one bucket and possibly of several.
 
     A side Ray reports without a schema (a fully empty dataset with no
     typed block) cannot give ``fn`` a typed empty: a one-sided apply of
     nothing is nothing, so that dataset is returned; on a two-sided
     apply it raises ``ValueError`` naming the side."""
-    splits = []
-    for i, (ds, key) in enumerate(sides):
-        # each side's split tasks run while the next side materializes
+    mats = []
+    for i, (ds, _) in enumerate(sides):
         mat = ds.materialize()
         if mat.schema() is None:
             if len(sides) == 1:
@@ -196,7 +232,12 @@ def _exchange(
                 "schema (an empty dataset with no typed block); pass a "
                 "typed empty table"
             )
-        splits.append(_split_refs(mat, key, num_buckets))
+        mats.append(mat)
+    reducers = _reducer_count(mats, num_buckets)
+    splits = [
+        _split_refs(mat, key, num_buckets, reducers)
+        for mat, (_, key) in zip(mats, sides)
+    ]
     schemas = [schema for _, schema in splits]
     ends = list(accumulate(len(per_task) for per_task, _ in splits))
     starts = [0] + ends[:-1]
@@ -216,9 +257,9 @@ def _exchange(
 
     pairs = [
         _reduce.remote(
-            *[refs[b] for per_task, _ in splits for refs in per_task]
+            *[refs[r] for per_task, _ in splits for refs in per_task]
         )
-        for b in range(num_buckets)
+        for r in range(reducers)
     ]
     return _dataset_from_reduce_pairs(pairs)
 
@@ -230,9 +271,12 @@ def bucket_group_apply(
     *,
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
-    """One-shuffle grouped apply: all rows of a key land in one bucket;
-    ``fn(bucket_table)`` runs vectorized per bucket (with a typed empty
-    table for a bucket no row hashed to). A fully empty input that Ray
+    """One-shuffle grouped apply: all rows of a key land in one of
+    ``num_buckets`` hash buckets, and ``fn(rows)`` runs vectorized once
+    per reducer — min(num_buckets, …) of them, see :func:`_exchange` —
+    on every row of that reducer's buckets, so on many keys per call
+    (with a typed empty table for a reducer no row went to). A fully
+    empty input that Ray
     reports without a schema is returned as is; callers needing a TYPED
     empty must guard upstream (membership_join/distinct_keys do)."""
     return _exchange(
@@ -251,8 +295,11 @@ def cobucket_apply(
 ) -> ray.data.Dataset:
     """Co-partitioned two-sided apply in ONE shuffle (the big–big join
     primitive): both datasets are bucketed on their join key with the same
-    stable hash, and ``fn(left_rows, right_rows)`` runs per bucket with
-    all co-keyed rows local. Each ``*_bucket`` is a key extractor, or the
+    stable hash into ``num_buckets``, and ``fn(left_rows, right_rows)``
+    runs once per reducer (min(num_buckets, …), see :func:`_exchange`)
+    on both sides' rows of that reducer's buckets, all co-keyed rows
+    local, so on many keys and, with a precomputed bucket column, on
+    several bucket ids per call. Each ``*_bucket`` is a key extractor, or the
     name of a precomputed bucket-id column (ids outside
     [0, num_buckets) raise ``ValueError``). Both sides need a schema: a
     schema-less empty side raises ``ValueError``."""

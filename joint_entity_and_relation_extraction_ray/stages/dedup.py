@@ -45,6 +45,7 @@ Scale design notes (10^12-row framing):
 from __future__ import annotations
 
 import logging
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -63,13 +64,25 @@ from ..functions.shuffle import bucket_group_apply
 
 log = logging.getLogger(__name__)
 
-# Pair generation per LSH bucket is exact by default (no silent truncation
-# — a dropped pair would diverge from the all-pairs oracle). Buckets above
-# BUCKET_WARN are logged; callers at scale can pass max_bucket to bound the
-# quadratic explicitly (truncation is then logged too).
+# Pair generation per posting list is exact by default (no silent
+# truncation — a dropped pair would diverge from the all-pairs oracle).
+# Lists above BUCKET_WARN are counted in one log line per reducer call;
+# callers at scale can pass max_bucket to bound the quadratic explicitly
+# (each truncation is then logged too).
 BUCKET_WARN = 200
 
 _I64 = pa.int64()
+
+
+def _warn_long_lists(sizes: np.ndarray, label: str) -> None:
+    """One warning for a reducer call's posting lists over
+    ``BUCKET_WARN`` ids: how many, and the largest."""
+    over = sizes[sizes > BUCKET_WARN]
+    if len(over):
+        log.warning(
+            "%s: %d posting lists over %d ids, largest %d (quadratic "
+            "pair-gen)", label, len(over), BUCKET_WARN, int(over.max()),
+        )
 
 
 def _upper_pairs(
@@ -77,12 +90,10 @@ def _upper_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All index pairs (i < j) over ``ids`` — vectorized, memory-chunked.
 
-    Returns parallel (a_idx, b_idx) POSITION arrays into ``ids``. Oversized
-    buckets are logged; with ``max_bucket`` set the bucket is truncated
-    (logged, never silent)."""
+    Returns parallel (a_idx, b_idx) POSITION arrays into ``ids``. With
+    ``max_bucket`` set the list is truncated (logged, never silent);
+    callers report oversized lists through :func:`_warn_long_lists`."""
     n = len(ids)
-    if n > BUCKET_WARN:
-        log.warning("%s: LSH bucket of %d ids (quadratic pair-gen)", label, n)
     if max_bucket is not None and n > max_bucket:
         log.warning(
             "%s: truncating bucket %d -> %d ids (max_bucket)", label, n, max_bucket
@@ -164,39 +175,52 @@ def _co_posting_pairs(
     ``c`` = the number of postings the pair co-occurs on when ``count``.
 
     Two shuffles: postings bucket by ``key`` and each key's sorted id
-    list becomes its upper triangle (:func:`_upper_pairs`, which logs
-    lists over ``BUCKET_WARN`` and truncates at ``max_bucket``); the
+    list becomes its upper triangle (:func:`_posting_list_pairs`); the
     pairs then bucket by ``a`` (:func:`_distinct_pairs`). Postings are
     not made distinct first: an id posted twice under one key (a 64-bit
     hash collision) pairs with each co-posted id once per posting, so a
     collision can only add to ``c``. Self-pairs are dropped."""
-
-    def _pairs(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        grp = (
-            pl.from_arrow(t)
-            .group_by("key")
-            .agg(pl.col("id").sort().alias("ids"), pl.len().alias("n"))
-            .filter(pl.col("n") >= 2)
-        )
-        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for ids in grp["ids"].to_list():
-            arr = np.asarray(ids, dtype=np.int64)
-            ai, bi = _upper_pairs(arr, max_bucket=max_bucket, label=label)
-            x, y = arr[ai], arr[bi]
-            keep = x != y
-            a.append(x[keep])
-            b.append(y[keep])
-        return pa.table(
-            {
-                cols[0]: pa.array(np.concatenate(a), _I64),
-                cols[1]: pa.array(np.concatenate(b), _I64),
-            }
-        )
-
-    pairs = bucket_group_apply(postings, "key", _pairs, num_buckets=num_buckets)
+    pairs = bucket_group_apply(
+        postings,
+        "key",
+        partial(
+            _posting_list_pairs, cols=cols, max_bucket=max_bucket, label=label
+        ),
+        num_buckets=num_buckets,
+    )
     return _distinct_pairs(pairs, cols, count=count, num_buckets=num_buckets)
+
+
+def _posting_list_pairs(
+    t: pa.Table, *, cols: tuple[str, str], max_bucket: int | None, label: str
+) -> pa.Table:
+    """The key reducer of :func:`_co_posting_pairs`: ``(key, id)``
+    postings → the upper triangle of each key's sorted id list
+    (:func:`_upper_pairs`, truncated at ``max_bucket``), self-pairs
+    dropped; lists over ``BUCKET_WARN`` ids give one warning per call."""
+    import polars as pl
+
+    grp = (
+        pl.from_arrow(t)
+        .group_by("key")
+        .agg(pl.col("id").sort().alias("ids"), pl.len().alias("n"))
+        .filter(pl.col("n") >= 2)
+    )
+    _warn_long_lists(grp["n"].to_numpy(), label)
+    a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for ids in grp["ids"].to_list():
+        arr = np.asarray(ids, dtype=np.int64)
+        ai, bi = _upper_pairs(arr, max_bucket=max_bucket, label=label)
+        x, y = arr[ai], arr[bi]
+        keep = x != y
+        a.append(x[keep])
+        b.append(y[keep])
+    return pa.table(
+        {
+            cols[0]: pa.array(np.concatenate(a), _I64),
+            cols[1]: pa.array(np.concatenate(b), _I64),
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +801,7 @@ def simhash_near_pairs(
             )
             .filter(pl.col("n") >= 2)
         )
+        _warn_long_lists(grp["n"].to_numpy(), "simhash")
         a, b, hd = [], [], []
         for rows in grp["rows"].to_list():
             ids = np.array([r["doc_id"] for r in rows], dtype=np.int64)

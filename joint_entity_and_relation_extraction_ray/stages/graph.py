@@ -52,7 +52,10 @@ def build_edges(
 
     Per-block combiner (≤ one row per distinct edge per block) then a
     single subj_id-bucketed shuffle with a vectorized polars reduction —
-    the combiner caps a hot predicate's fan-in at the block count."""
+    the combiner caps a hot predicate's fan-in at the block count.
+    ``num_buckets`` is the hash space of the shuffle and of ``part`` =
+    ``stable_bucket(subj_id, num_buckets)``, the write layout; the
+    shuffle sizes its reduce task count to the session."""
     from ..functions.shuffle import bucket_group_apply
 
     partial = rewritten.map_batches(
@@ -99,7 +102,10 @@ def node_rollup(
     *,
     num_buckets: int = DEFAULT_WRITE_PARTS,
 ) -> ray.data.Dataset:
-    """G2 rollup over (canonical_id, surface, ent_type) rows → T5 NODES."""
+    """G2 rollup over (canonical_id, surface, ent_type) rows → T5 NODES.
+
+    ``num_buckets`` sets ``part`` = ``stable_bucket(entity_id,
+    num_buckets)``, the write layout, not the reduce task count."""
 
     # partial combiner: distinct (canonical_id, surface, ent_type) + count
     def _partial(t: pa.Table) -> pa.Table:

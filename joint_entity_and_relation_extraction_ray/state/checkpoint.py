@@ -8,10 +8,12 @@ Layout under ``out_root``::
                                    # run() when the schema has `part`)
     <stage>/*.parquet              # plain write otherwise
     <stage>.manifest.json          # {fingerprint, rows, files: {path: rows},
-                                   #  wall_s, schema, params}
+                                   #  build_s, write_s, wall_s, schema, params}
     <stage>.manifests/<k>.json     # per-PARTITION manifest (run_partitioned):
-                                   # {fingerprint, rows, files, wall_s, schema}
+                                   # {fingerprint, rows, files, build_s,
+                                   #  write_s, wall_s, schema}
     metrics.jsonl                  # append-only per-stage(+partition) metrics
+                                   # (wall_s = build_s + write_s)
 
 Lineage = the fingerprint chain: a stage's fingerprint hashes its params +
 input CONTENT digests (:func:`parquet_sig`) + code version + every
@@ -147,6 +149,19 @@ def _write_stage(
     return files, schema
 
 
+def _walls(t0: float, t1: float, t2: float) -> dict[str, float]:
+    """A stage's timings from ``perf_counter`` reads before its build,
+    after its build and after its write: ``build()`` is eager for every
+    stage with a shuffle or a count, so the write alone misses that
+    work; ``wall_s`` is their sum."""
+    build, write = round(t1 - t0, 3), round(t2 - t1, 3)
+    return {
+        "build_s": build,
+        "write_s": write,
+        "wall_s": round(build + write, 3),
+    }
+
+
 def _schema_dict(schema) -> dict[str, str]:
     return dict(zip(schema.names, map(str, schema.types))) if schema else {}
 
@@ -202,11 +217,12 @@ class Checkpointer:
         if self.is_done(stage, fp):
             return ray.data.read_parquet(str(out_dir))
 
-        ds = build()
         t0 = time.perf_counter()
+        ds = build()
+        t1 = time.perf_counter()
         tmp = self.root / f"{stage}.tmp-{os.getpid()}"
         files, schema = _write_stage(ds, tmp, schema, partition=True)
-        wall = time.perf_counter() - t0
+        walls = _walls(t0, t1, time.perf_counter())
         rows = sum(files.values())
 
         if out_dir.exists():
@@ -218,7 +234,7 @@ class Checkpointer:
                     "fingerprint": fp,
                     "rows": rows,
                     "files": files,
-                    "wall_s": round(wall, 3),
+                    **walls,
                     "schema": _schema_dict(schema),
                     "params": params,
                     "deps": {d: self.fingerprints[d] for d in (deps or [])},
@@ -229,7 +245,7 @@ class Checkpointer:
         with open(self.root / "metrics.jsonl", "a") as fh:
             fh.write(
                 json.dumps(
-                    {"stage": stage, "rows_out": rows, "wall_s": round(wall, 3),
+                    {"stage": stage, "rows_out": rows, **walls,
                      "fingerprint": fp, "n_files": len(files)}
                 )
                 + "\n"
@@ -301,11 +317,12 @@ class Checkpointer:
             if not self.part_is_done(stage, k, part_fps[k])
         ]
         for k in todo:
-            ds = build_part(k)
             t0 = time.perf_counter()
+            ds = build_part(k)
+            t1 = time.perf_counter()
             tmp = self.root / f"{stage}.tmp-part{k}-{os.getpid()}"
             files, part_schema = _write_stage(ds, tmp, schema)
-            wall = time.perf_counter() - t0
+            walls = _walls(t0, t1, time.perf_counter())
             dest = out_dir / f"part={k}"
             if dest.exists():
                 shutil.rmtree(dest)
@@ -318,7 +335,7 @@ class Checkpointer:
                         "partition": k,
                         "rows": sum(files.values()),
                         "files": files,
-                        "wall_s": round(wall, 3),
+                        **walls,
                         "schema": _schema_dict(part_schema),
                     },
                     indent=1,
@@ -331,7 +348,7 @@ class Checkpointer:
                             "stage": stage,
                             "partition": k,
                             "rows_out": sum(files.values()),
-                            "wall_s": round(wall, 3),
+                            **walls,
                             "fingerprint": part_fps[k],
                         }
                     )
@@ -351,9 +368,10 @@ class Checkpointer:
                     "fingerprint": fp,
                     "rows": rows,
                     "num_parts": num_parts,
-                    "wall_s": round(
-                        sum(m["wall_s"] for m in part_manifests), 3
-                    ),
+                    **{
+                        t: round(sum(m.get(t, 0.0) for m in part_manifests), 3)
+                        for t in ("build_s", "write_s", "wall_s")
+                    },
                     "schema": stage_schema,
                     "params": params,
                     "deps": {d: self.fingerprints[d] for d in (deps or [])},
@@ -1005,7 +1023,7 @@ def write_sorted(
     stamped = ds.map_batches(
         _stamp, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    per_block, schema = _split_refs(stamped, "_range", nb)
+    per_block, schema = _split_refs(stamped, "_range", nb, nb)
 
     sort_by = [(col, "ascending")] + [
         (c, "ascending") for c in (tie_cols or [])
@@ -1108,7 +1126,9 @@ def merge_sorted(
     routed = delta.map_batches(
         _route, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    per_block, schema = _split_refs(routed, "_file", len(files))
+    per_block, schema = _split_refs(
+        routed, "_file", len(files), len(files)
+    )
 
     sort_by = [(col, "ascending")] + [
         (c, "ascending") for c in (tie_cols or [])

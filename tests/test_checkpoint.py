@@ -1,8 +1,10 @@
 """Checkpoint / lineage / resume semantics (SURVEY.md §4.4, §5.2.5)."""
 
 import json
+import time
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from joint_entity_and_relation_extraction_ray.sources.synth import ensure_corpus
@@ -96,6 +98,39 @@ def test_partitioned_write_and_manifest(tmp_path, ray_session):
     # per-file rows recorded (per-partition lineage detail)
     assert sum(m["files"].values()) == 20
     assert (tmp_path / "metrics.jsonl").exists()
+
+
+def test_stage_wall_covers_build_and_write(tmp_path, ray_session):
+    """An eager build (a shuffle, a count) is part of the stage's wall:
+    the manifest and metrics.jsonl record build_s and write_s, and
+    wall_s is their sum, for run() and for each run_partitioned part."""
+
+    def build(*_):
+        time.sleep(0.3)
+        return _src(10)
+
+    ck = Checkpointer(tmp_path)
+    ck.run("slow", build)
+    ck.run_partitioned("slow_parts", build, num_parts=2)
+    recs = [
+        json.loads(line)
+        for line in (tmp_path / "metrics.jsonl").read_text().splitlines()
+    ]
+    manifests = [
+        json.loads((tmp_path / "slow.manifest.json").read_text()),
+        *(
+            json.loads(p.read_text())
+            for p in sorted((tmp_path / "slow_parts.manifests").glob("*.json"))
+        ),
+    ]
+    assert [r["stage"] for r in recs] == ["slow", "slow_parts", "slow_parts"]
+    for m in recs + manifests:
+        assert m["build_s"] >= 0.3
+        assert m["wall_s"] == pytest.approx(
+            m["build_s"] + m["write_s"], abs=2e-3
+        )
+    rolled = json.loads((tmp_path / "slow_parts.manifest.json").read_text())
+    assert rolled["build_s"] >= 0.6
 
 
 def test_partition_level_resume(tmp_path, ray_session):

@@ -263,6 +263,27 @@ def test_upper_pairs_chunked_branch_and_truncation(caplog):
     assert set(zip(a, b)) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
 
 
+def test_posting_list_pairs_one_warning_per_call(caplog):
+    """Oversized posting lists are summed into one warning per reducer
+    call (their count and the largest), not one line per list."""
+    sizes = {1: 201, 2: 250, 3: 300, 4: 5}
+    keys = np.repeat(list(sizes), list(sizes.values()))
+    t = pa.table(
+        {
+            "key": pa.array(keys, pa.int64()),
+            "id": pa.array(np.arange(len(keys)), pa.int64()),
+        }
+    )
+    with caplog.at_level("WARNING", logger=dedup.log.name):
+        out = dedup._posting_list_pairs(
+            t, cols=("a", "b"), max_bucket=None, label="t"
+        )
+    assert out.num_rows == sum(n * (n - 1) // 2 for n in sizes.values())
+    assert [r.getMessage() for r in caplog.records] == [
+        "t: 3 posting lists over 200 ids, largest 300 (quadratic pair-gen)"
+    ]
+
+
 def test_simhash_dedup_and_near(ray_session):
     near = BASE.replace("kappa", "kappax")
     ds = _docs([BASE, BASE, near, "something else entirely different words"])

@@ -6,6 +6,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from joint_entity_and_relation_extraction_ray.pipelines import kg
+from joint_entity_and_relation_extraction_ray.schema import stable_bucket
 
 
 SF = "/root/testdata/sf0.001"
@@ -53,6 +54,18 @@ def test_partitioned_write_layout(graph, tmp_path):
     assert node_parts and edge_parts
     back = pq.read_table(str(tmp_path / "edges"))
     assert back.num_rows == kg.to_table(graph["edges"]).num_rows
+    # `part` is the 64-way hash of the row's entity, however many reduce
+    # tasks built the rows: every row sits in its key's directory, and
+    # the directory set is the keys' bucket set
+    for sub, key in (("edges", "subj_id"), ("nodes", "entity_id")):
+        dirs = {
+            d.name: pq.read_table(str(d), partitioning=None)[key].to_pylist()
+            for d in (tmp_path / sub).glob("part=*")
+        }
+        ids = kg.to_table(graph[sub])[key].to_pylist()
+        assert set(dirs) == {f"part={b}" for b in stable_bucket(ids, 64)}
+        for name, keys in dirs.items():
+            assert {f"part={b}" for b in stable_bucket(keys, 64)} == {name}
 
 
 def test_two_hop_pred_counts(ray_session):

@@ -5,16 +5,24 @@ dedup tests; this file pins its boundary behaviors: num_buckets=1 (Ray
 does not unpack a 1-tuple under num_returns=1), typed and schema-less
 empty inputs, precomputed bucket columns (kept in fn's rows, range-
 checked), key-locality (all rows of one key land in exactly one reduce
-call), and an input larger than the object store.
+call), the fold of ``num_buckets`` onto at most 2 × CPU reducers (checked
+against a pure-Python reference), and an input larger than the object
+store.
 """
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from joint_entity_and_relation_extraction_ray.functions.shuffle import (
+    _reducer_count,
     bucket_group_apply,
     cobucket_apply,
 )
+from joint_entity_and_relation_extraction_ray.schema import stable_bucket
+
+# the test session has 4 CPUs: an exchange runs at most 2 × 4 reducers
+REDUCERS = 8
 
 
 def _docs(n=10):
@@ -73,12 +81,126 @@ def test_bucket_group_apply_key_locality(ray_session):
     assert len(df) == 3 and set(df["n"]) == {10}
 
 
+def _keyed(n, n_keys, n_blocks=3, name="v"):
+    """``n`` rows over ``n_keys`` keys in ``n_blocks`` blocks: with more
+    keys than buckets, keys collide in a bucket and in a reducer."""
+    t = pa.table(
+        {
+            "k": pa.array([f"k{(i * 7) % n_keys}" for i in range(n)]),
+            name: pa.array(range(n), pa.int64()),
+        }
+    )
+    step = -(-n // n_blocks)
+    return ray.data.from_arrow(
+        [t.slice(i, step) for i in range(0, n, step)]
+    )
+
+
+def _stamp(ds, num_buckets):
+    return ds.map_batches(
+        lambda t: t.append_column(
+            "_bucket",
+            pa.array(
+                stable_bucket(t["k"].to_numpy(zero_copy_only=False),
+                              num_buckets),
+                pa.int32(),
+            ),
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+
+
+@pytest.mark.parametrize("num_buckets", [1, 3, 8, 64, 100])
+def test_folded_exchange_matches_reference(ray_session, num_buckets):
+    """Folding ``num_buckets`` onto at most 2 × CPU reducers changes no
+    result: grouped apply, a callable-key join and a precomputed
+    ``_bucket``-column join equal a pure-Python reference, keys that
+    share a bucket or a reducer stay apart, and the output has at most
+    one block per reducer."""
+    import collections
+
+    import polars as pl
+
+    left, right = _keyed(600, 90), _keyed(150, 60, name="w")
+    lrows = list(left.to_pandas().itertuples(index=False))
+    rrows = list(right.to_pandas().itertuples(index=False))
+
+    def _sums(t: pa.Table) -> pa.Table:
+        return (
+            pl.from_arrow(t)
+            .group_by("k")
+            .agg(pl.col("v").sum().alias("s"), pl.len().alias("n"))
+            .to_arrow()
+            .cast(pa.schema([("k", pa.string()), ("s", pa.int64()),
+                             ("n", pa.int64())]))
+        )
+
+    ref = collections.defaultdict(lambda: [0, 0])
+    for k, v in lrows:
+        ref[k][0] += v
+        ref[k][1] += 1
+    out = bucket_group_apply(left, "k", _sums, num_buckets=num_buckets)
+    out = out.materialize()
+    assert out.num_blocks() <= min(num_buckets, REDUCERS)
+    got = sorted(out.to_pandas().itertuples(index=False, name=None))
+    assert got == sorted((k, s, n) for k, (s, n) in ref.items())
+
+    def _join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        drop = [c for c in ("_bucket",) if c in lt.column_names]
+        return lt.drop_columns(drop).join(
+            rt.drop_columns(drop), keys=["k"], join_type="inner"
+        ).select(["k", "v", "w"])
+
+    want = sorted(
+        (lk, v, w) for lk, v in lrows for rk, w in rrows if lk == rk
+    )
+
+    def _key(t):
+        return t["k"].combine_chunks()
+
+    for lkey, rkey, lds, rds in (
+        (_key, _key, left, right),
+        ("_bucket", "_bucket", _stamp(left, num_buckets),
+         _stamp(right, num_buckets)),
+    ):
+        out = cobucket_apply(
+            lds, rds, lkey, rkey, _join, num_buckets=num_buckets
+        ).materialize()
+        assert out.num_blocks() <= min(num_buckets, REDUCERS)
+        got = sorted(out.to_pandas().itertuples(index=False, name=None))
+        assert got == want
+
+
+def test_reducer_count_follows_session_and_size(ray_session, monkeypatch):
+    """A 64-bucket exchange of a small input runs 2 × CPU reducers; when
+    the input outgrows that many ``target_max_block_size`` blocks, it
+    runs ``num_buckets`` reducers, one bucket each."""
+    mat = _keyed(4000, 2000).materialize()
+    assert _reducer_count([mat], 64) == REDUCERS
+    assert _reducer_count([mat], 3) == 3
+    assert bucket_group_apply(
+        mat, "k", lambda t: t
+    ).materialize().num_blocks() <= REDUCERS
+
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(
+        ctx, "target_max_block_size", mat.size_bytes() // 100
+    )
+    assert _reducer_count([mat], 64) == 64
+    out = bucket_group_apply(mat, "k", lambda t: t).materialize()
+    assert out.num_blocks() == 64  # 2,000 keys leave no bucket empty
+    assert out.count() == 4000
+
+
 def test_bucket_group_apply_empty_input(ray_session):
     empty = ray.data.from_arrow(
         pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
     )
-    out = bucket_group_apply(empty, "k", lambda t: t, num_buckets=4)
-    assert out.count() == 0
+    for nb in (4, 64):
+        out = bucket_group_apply(empty, "k", lambda t: t, num_buckets=nb)
+        assert out.count() == 0
+        assert out.schema().names == ["k", "v"]
 
     # a typed 0-row side of a cobucket join reaches fn as a typed empty
     def _join(lt: pa.Table, rt: pa.Table) -> pa.Table:
@@ -89,16 +211,17 @@ def test_bucket_group_apply_empty_input(ray_session):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    out = cobucket_apply(
-        empty,
-        right,
-        lambda t: t["k"].combine_chunks(),
-        lambda t: t["k"].combine_chunks(),
-        _join,
-        num_buckets=4,
-    )
-    assert out.count() == 0
-    assert sorted(out.schema().names) == ["k", "v", "w"]
+    for nb in (4, 64):
+        out = cobucket_apply(
+            empty,
+            right,
+            lambda t: t["k"].combine_chunks(),
+            lambda t: t["k"].combine_chunks(),
+            _join,
+            num_buckets=nb,
+        )
+        assert out.count() == 0
+        assert sorted(out.schema().names) == ["k", "v", "w"]
 
 
 def test_parquet_exchange_empty_input_applies_fn(ray_session):
@@ -251,6 +374,15 @@ def test_cobucket_apply_rejects_out_of_range_bucket_ids(ray_session):
             cobucket_apply(
                 _stamped(bad), ok, "_bucket", "_bucket", _fn, num_buckets=4
             )
+    # ids are checked against num_buckets, not the reducer count: 64
+    # folds onto reducer 0 of 8 but is outside [0, 64)
+    with pytest.raises(ValueError, match="_bucket"):
+        cobucket_apply(
+            _stamped([0, 64]), ok, "_bucket", "_bucket", _fn, num_buckets=64
+        )
+    assert cobucket_apply(
+        _stamped([0, 63, 9]), ok, "_bucket", "_bucket", _fn, num_buckets=64
+    ).count() == 3
     # num_buckets=1 keeps its bare-ref path and the same check
     with pytest.raises(ValueError, match="_bucket"):
         cobucket_apply(
@@ -276,10 +408,11 @@ def test_schemaless_empty_side(ray_session):
     def _fn(lt, rt):
         return lt
 
-    with pytest.raises(ValueError, match="left side"):
-        cobucket_apply(_none(), _docs(4), _key, _key, _fn, num_buckets=4)
-    with pytest.raises(ValueError, match="right side"):
-        cobucket_apply(_docs(4), _none(), _key, _key, _fn, num_buckets=4)
+    for nb in (4, 64):
+        with pytest.raises(ValueError, match="left side"):
+            cobucket_apply(_none(), _docs(4), _key, _key, _fn, num_buckets=nb)
+        with pytest.raises(ValueError, match="right side"):
+            cobucket_apply(_docs(4), _none(), _key, _key, _fn, num_buckets=nb)
 
 
 _SPILL_PROBE = """
