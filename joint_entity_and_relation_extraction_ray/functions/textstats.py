@@ -20,6 +20,7 @@ import hashlib
 import numpy as np
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # Tokens are maximal \S+ runs == DuckDB regexp_split_to_array(trim(text),'\s+')
 # on non-empty text — the oracle uses exactly that definition.
@@ -240,50 +241,115 @@ def shingle_hashes(shingles: list[str]) -> np.ndarray:
     )
 
 
+def shingle_hashes_arrow(
+    col: pa.Array | pa.ChunkedArray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`shingle_hashes` of every row of a ``list<string>`` column
+    at once → ``(flat uint64 hashes, int64 row offsets)``: row ``i``'s
+    hashes are ``flat[offsets[i]:offsets[i + 1]]``; null and empty lists
+    are 0-width. Chunked and sliced columns are read as they are.
+
+    Byte-for-byte :func:`shingle_hashes`: blake2b runs over
+    ``memoryview`` slices of the flattened string array's data buffer
+    (UTF-8, as ``str.encode`` gives), so no per-shingle ``str`` is
+    built."""
+    hs = [np.empty(0, dtype=np.uint64)]
+    lens = [np.empty(0, dtype=np.int64)]
+    for arr in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
+        lens.append(
+            pc.list_value_length(arr)
+            .fill_null(0)
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        # flatten() honours the slice offset and skips null lists
+        hs.append(_string_hashes(arr.flatten()))
+    n = np.concatenate(lens)
+    offsets = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(n, out=offsets[1:])
+    return np.concatenate(hs), offsets
+
+
+def _string_hashes(strs: pa.Array) -> np.ndarray:
+    """blake2b-8 of each string of a (large_)string array, read from its
+    offsets and data buffers."""
+    if not len(strs):
+        return np.empty(0, dtype=np.uint64)
+    _, obuf, dbuf = strs.buffers()
+    odt = np.int64 if pa.types.is_large_string(strs.type) else np.int32
+    offs = np.frombuffer(
+        obuf, dtype=odt, count=len(strs) + 1,
+        offset=strs.offset * np.dtype(odt).itemsize,
+    ).tolist()
+    data = memoryview(dbuf if dbuf is not None else b"")
+    blake = hashlib.blake2b
+    return np.frombuffer(
+        b"".join(
+            blake(data[s:e], digest_size=8).digest()
+            for s, e in zip(offs[:-1], offs[1:])
+        ),
+        dtype="<u8",
+    )
+
+
 def minhash_signatures(
     shingle_lists: list[list[str]], num_perm: int = 128, seed: int = 7
 ) -> np.ndarray:
-    """Batch MinHash: (n_docs, num_perm) uint64 — fully vectorized.
-
-    Permutation family: multiply-add in native uint64 (wraparound = mod
-    2^64) over blake2b base hashes — a standard minwise family; pure
-    uint64 numpy (the exact mod-p variant needed object-dtype bigints and
-    was ~100× slower).
-    """
-    a, b = _perm_params(num_perm, seed)
-    n = len(shingle_lists)
-    out = np.full((n, num_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
-    # flatten all shingles, hash once, then segment-reduce per doc
+    """Batch MinHash: (n_docs, num_perm) uint64 over Python shingle
+    lists — :func:`shingle_hashes` of the flattened lists, then
+    :func:`minhash_from_hashes`. Columnar callers hash a ``list<string>``
+    column with :func:`shingle_hashes_arrow` instead."""
     flat: list[str] = []
     offsets = [0]
     for sl in shingle_lists:
         flat.extend(sl)
         offsets.append(len(flat))
-    if not flat:
-        return out
-    base = shingle_hashes(flat)
-    # perm-chunked products + segmented min: the one-shot
-    # (n_shingles × num_perm) product matrix was the stage's DRAM hog
-    # (≈128×8 B per shingle written then re-read; measured
-    # bandwidth-bound scaling on the dedup bench) — 16-perm chunks keep
-    # the working set cache-resident and `minimum.reduceat` replaces
-    # the per-doc Python loop. Same uint64 wraparound arithmetic, so
-    # signatures are BIT-IDENTICAL to the one-shot form (oracle
-    # contract). Empty docs keep the max sentinel: their offsets are
-    # excluded from `starts`, and consecutive non-empty starts span
-    # exactly the non-empty segments (empty segments are 0-width).
+    return minhash_from_hashes(
+        shingle_hashes(flat), np.asarray(offsets, dtype=np.int64),
+        num_perm=num_perm, seed=seed,
+    )
+
+
+def minhash_from_hashes(
+    base: np.ndarray, offsets: np.ndarray, num_perm: int = 128, seed: int = 7
+) -> np.ndarray:
+    """MinHash signatures, (n_docs, num_perm) uint64, of the shingle
+    hash segments ``base[offsets[i]:offsets[i + 1]]`` (``offsets[0] == 0``,
+    ``offsets[-1] == len(base)``). A doc with no shingles keeps the
+    all-max sentinel.
+
+    Permutation family: multiply-add in native uint64 (wraparound = mod
+    2^64) over blake2b base hashes — a standard minwise family; pure
+    uint64 numpy (the exact mod-p variant needed object-dtype bigints and
+    was ~100× slower).
+
+    Perm-major: one permutation at a time into one reused 1-D buffer
+    (``multiply``/``add`` with ``out=``), then a contiguous 1-D
+    ``minimum.reduceat`` over the non-empty segments — no
+    (n_shingles × perms) product matrix is ever written, so the working
+    set is one column of hashes. Same uint64 wraparound arithmetic, so
+    the signatures are bit-identical to the one-shot product-matrix
+    form (oracle contract). Empty docs are excluded from ``starts``;
+    consecutive non-empty starts span exactly the non-empty segments
+    (empty segments are 0-width)."""
+    a, b = _perm_params(num_perm, seed)
     offs = np.asarray(offsets, dtype=np.int64)
-    lens = np.diff(offs)
-    ne = lens > 0
+    ne = np.diff(offs) > 0
     starts = offs[:-1][ne]
-    CH = 16
-    for c0 in range(0, num_perm, CH):
-        hi = min(c0 + CH, num_perm)
+    sig = np.empty((num_perm, len(starts)), dtype=np.uint64)
+    if len(starts):
+        buf = np.empty(len(base), dtype=np.uint64)
         with np.errstate(over="ignore"):
-            prods = base[:, None] * a[None, c0:hi] + b[None, c0:hi]
-        out[np.flatnonzero(ne), c0:hi] = np.minimum.reduceat(
-            prods, starts, axis=0
-        )
+            for p in range(num_perm):
+                np.multiply(base, a[p], out=buf)
+                np.add(buf, b[p], out=buf)
+                np.minimum.reduceat(buf, starts, out=sig[p])
+    if ne.all():
+        return sig.T
+    out = np.full(
+        (len(ne), num_perm), np.iinfo(np.uint64).max, dtype=np.uint64
+    )
+    out[ne] = sig.T
     return out
 
 

@@ -796,6 +796,35 @@ def q_sample_bottomk(sf_dir: str) -> ray.data.Dataset:
     return top.select_columns(["doc_id"])
 
 
+def _sample_priority(t: pa.Table) -> pa.Table:
+    """``(doc_id, n_chars)`` → the Efraimidis–Spirakis priority ``prio =
+    u ** (1 / max(w, 1))`` of :func:`q_sample_weighted`, null ``w`` → 1,
+    with ``u = (md5_60(doc_id) + 1) / (2^60 + 1)``; the +1 happens in
+    int64 BEFORE the float conversion (at 2^60 magnitudes fl(h) + 1.0 ≠
+    fl(h + 1)).
+
+    The power is ``math.pow`` per row: it calls libm ``pow``, as DuckDB's
+    ``pow`` does, so the priorities and the oracle's order are
+    bit-identical. numpy's vectorized ``**`` is not libm's: on about a
+    third of random ``(u, w)`` pairs it differs by 1 ulp."""
+    import math
+
+    import numpy as np
+
+    u = (md5_60(t["doc_id"]) + 1).astype(np.float64) / float((1 << 60) + 1)
+    w = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
+    w = np.maximum(np.nan_to_num(w, nan=1.0), 1.0)
+    prios = [math.pow(x, 1.0 / y) for x, y in zip(u.tolist(), w.tolist())]
+    return pa.table(
+        {
+            "doc_id": t["doc_id"],
+            "weight": pc.cast(t["n_chars"], pa.int64()),
+            "prio": pa.array(prios, pa.float64()),
+            "g": pa.array([0] * t.num_rows, pa.int32()),
+        }
+    )
+
+
 def q_sample_weighted(sf_dir: str) -> ray.data.Dataset:
     """EXACT weighted sample without replacement, 50 docs with
     probability ∝ n_chars — Efraimidis–Spirakis priority sampling
@@ -805,33 +834,10 @@ def q_sample_weighted(sf_dir: str) -> ray.data.Dataset:
     Join Queries", EDBT 2023). Distributed exactly like sample_bottomk:
     per-block top-k combiner → one single-bucket merge; floats exist
     only inside the priority key, the output is (doc_id, weight) ints."""
-    import numpy as np
-
     from ..stages.relational import group_topk
 
-    DENOM = float((1 << 60) + 1)
-
-    def _prio(t: pa.Table) -> pa.Table:
-        # u = (md5-60 + 1)/DENOM vectorized; the +1 MUST happen in
-        # int64 BEFORE the float conversion (at 2^60 magnitudes
-        # fl(h)+1.0 ≠ fl(h+1)); exponent 1/max(w,1) with null→1 exactly
-        # as the old per-row `max(w or 1, 1)` (both ** paths call libm
-        # pow — bit-identical, oracle stays hash-exact)
-        u = (md5_60(t["doc_id"]) + 1).astype(np.float64) / DENOM
-        w = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
-        w = np.maximum(np.nan_to_num(w, nan=1.0), 1.0)
-        prios = u ** (1.0 / w)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "weight": pc.cast(t["n_chars"], pa.int64()),
-                "prio": pa.array(prios, pa.float64()),
-                "g": pa.array([0] * t.num_rows, pa.int32()),
-            }
-        )
-
     ds = read_documents(sf_dir, columns=["doc_id", "n_chars"]).map_batches(
-        _prio, batch_format="pyarrow", zero_copy_batch=True
+        _sample_priority, batch_format="pyarrow", zero_copy_batch=True
     )
     top = group_topk(
         ds,

@@ -8,15 +8,19 @@ Every blocking join here has the same shape — map rows to int64
 exactly — and shares one core for it:
 
 - :func:`_co_posting_pairs` — the blocking core: one key-bucketed
-  shuffle whose reducer turns each key's sorted id list into its upper
-  triangle (:func:`_upper_pairs`: exact by default, oversized lists
-  logged, ``max_bucket`` truncates with a log line), then one
-  ``a``-bucketed shuffle (:func:`_distinct_pairs`) that makes the pairs
-  distinct and counts ``c`` = the keys a pair co-occurs on. MinHash
-  bands (:func:`_minhash_postings`), n-gram shingle hashes
+  shuffle whose reducer sorts its postings by ``(key, id)`` and turns
+  every key's id list into its upper triangle in one loop-free pass
+  (:func:`_group_pairs`: exact by default, oversized lists logged,
+  ``max_bucket`` truncates with a log line), then one ``a``-bucketed
+  shuffle (:func:`_distinct_pairs`) that makes the pairs distinct and
+  counts ``c`` = the keys a pair co-occurs on. MinHash bands
+  (:func:`_minhash_postings`), n-gram shingle hashes
   (:func:`_pair_intersection_counts`, where ``c`` = |A ∩ B|),
   hyperplane-LSH buckets and SymSpell deletion variants all block
-  through it; only 16-byte int rows shuffle, never text;
+  through it, and the SimHash band reducer pairs through the same
+  :func:`_group_pairs`; only 16-byte int rows shuffle, never text.
+  Both shingle-set preludes hash the ``list<string>`` column straight
+  from its Arrow buffers (``textstats.shingle_hashes_arrow``);
 - :func:`_map_shingle_sets` — the candidate shingle-set fetch of the
   string-set verifiers (:func:`verify_jaccard_pairs`,
   :func:`containment_pairs`): a broadcast LUT of the candidate docs
@@ -28,10 +32,10 @@ Scale design notes (10^12-row framing):
 
 - exact dedup = hash fingerprint (map) + groupby(digest) min — one shuffle
   whose payload is (digest, doc_id), never the text;
-- MinHash LSH = shingle→signature (map, vectorized) → (key, id) band
-  postings → the blocking core → n-gram Jaccard verify on the candidate
-  docs' string shingle sets. Shingle-less docs are skipped at banding so
-  they never collide on a sentinel signature;
+- MinHash LSH = shingle→signature (map, vectorized, perm-major) →
+  (key, id) band postings → the blocking core → n-gram Jaccard verify
+  on the candidate docs' string shingle sets. Shingle-less docs are
+  skipped at banding so they never collide on a sentinel signature;
 - SimHash = 64-bit fingerprint (map) + groupby(fingerprint); near-dup
   variant blocks on 4×16-bit bands (pigeonhole: hamming ≤ 3 ⇒ ≥ 1 band
   equal) then verifies exact hamming distance (vectorized popcount)
@@ -45,6 +49,7 @@ Scale design notes (10^12-row framing):
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from functools import partial
 
 import numpy as np
@@ -85,41 +90,48 @@ def _warn_long_lists(sizes: np.ndarray, label: str) -> None:
         )
 
 
-def _upper_pairs(
-    ids: np.ndarray, *, max_bucket: int | None, label: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (i < j) over ``ids`` — vectorized, memory-chunked.
+def _group_pairs(
+    keys: np.ndarray, *, max_bucket: int | None, label: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every in-group position pair ``(i, j)``, ``i < j``, of a SORTED
+    key array — each run of equal keys is one posting list — yielded in
+    slices of at most about 8M pairs so the temporaries stay bounded.
 
-    Returns parallel (a_idx, b_idx) POSITION arrays into ``ids``. With
-    ``max_bucket`` set the list is truncated (logged, never silent);
-    callers report oversized lists through :func:`_warn_long_lists`."""
-    n = len(ids)
-    if max_bucket is not None and n > max_bucket:
-        log.warning(
-            "%s: truncating bucket %d -> %d ids (max_bucket)", label, n, max_bucket
-        )
-        n = max_bucket
+    Loop-free over the lists: position ``p`` of a list ending at ``e``
+    pairs with ``p + 1 .. e - 1``, so one ``repeat``/``cumsum`` pass
+    emits every list's upper triangle at once. With ``max_bucket`` set
+    each longer list keeps its first ``max_bucket`` positions (each
+    truncation logged, never silent); lists over ``BUCKET_WARN`` give
+    one warning per call (:func:`_warn_long_lists`)."""
+    n = len(keys)
     if n < 2:
-        z = np.empty(0, dtype=np.int64)
-        return z, z
-    if n <= 4096:  # triu direct: <= 8.4M pairs
-        a, b = np.triu_indices(n, k=1)
-        return a.astype(np.int64), b.astype(np.int64)
-    outs_a, outs_b = [], []
-    for i0 in range(0, n - 1, 2048):
-        rows = np.arange(i0, min(i0 + 2048, n - 1), dtype=np.int64)
-        counts = n - rows - 1
-        total = int(counts.sum())
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        j = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(starts, counts)
-            + np.repeat(rows + 1, counts)
-        )
-        outs_a.append(np.repeat(rows, counts))
-        outs_b.append(j)
-    return np.concatenate(outs_a), np.concatenate(outs_b)
+        return
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    _warn_long_lists(sizes, label)
+    kept = sizes
+    if max_bucket is not None:
+        for m in sizes[sizes > max_bucket].tolist():
+            log.warning(
+                "%s: truncating bucket %d -> %d ids (max_bucket)",
+                label, m, max_bucket,
+            )
+        kept = np.minimum(sizes, max_bucket)
+    # partners of each position: up to the end of its list's kept prefix
+    cnt = np.repeat(starts + kept, sizes) - np.arange(n, dtype=np.int64) - 1
+    rows = np.flatnonzero(cnt > 0)
+    cnt = cnt[rows]
+    cum = np.cumsum(cnt)
+    lo = 0
+    while lo < len(rows):
+        done = int(cum[lo] - cnt[lo])
+        hi = max(int(np.searchsorted(cum, done + (1 << 23), "right")), lo + 1)
+        r, c = rows[lo:hi], cnt[lo:hi]
+        # pair k of row r (its pairs start at slice offset cum - c - done)
+        # is (r, r + 1 + k - that offset)
+        shift = np.repeat(cum[lo:hi] - c - done - r - 1, c)
+        yield np.repeat(r, c), np.arange(len(shift), dtype=np.int64) - shift
+        lo = hi
 
 
 def _share(x):
@@ -174,12 +186,14 @@ def _co_posting_pairs(
     ``(a < b)`` pairs of ids that share a key, named ``cols``, plus
     ``c`` = the number of postings the pair co-occurs on when ``count``.
 
-    Two shuffles: postings bucket by ``key`` and each key's sorted id
-    list becomes its upper triangle (:func:`_posting_list_pairs`); the
-    pairs then bucket by ``a`` (:func:`_distinct_pairs`). Postings are
-    not made distinct first: an id posted twice under one key (a 64-bit
-    hash collision) pairs with each co-posted id once per posting, so a
-    collision can only add to ``c``. Self-pairs are dropped."""
+    Two shuffles: postings bucket by ``key`` and each reducer emits the
+    upper triangle of every key's sorted id list in one pass
+    (:func:`_posting_list_pairs`), so its cost follows the pairs, not
+    the number of lists; the pairs then bucket by ``a``
+    (:func:`_distinct_pairs`). Postings are not made distinct first: an
+    id posted twice under one key (a 64-bit hash collision) pairs with
+    each co-posted id once per posting, so a collision can only add to
+    ``c``. Self-pairs are dropped."""
     pairs = bucket_group_apply(
         postings,
         "key",
@@ -195,26 +209,22 @@ def _posting_list_pairs(
     t: pa.Table, *, cols: tuple[str, str], max_bucket: int | None, label: str
 ) -> pa.Table:
     """The key reducer of :func:`_co_posting_pairs`: ``(key, id)``
-    postings → the upper triangle of each key's sorted id list
-    (:func:`_upper_pairs`, truncated at ``max_bucket``), self-pairs
-    dropped; lists over ``BUCKET_WARN`` ids give one warning per call."""
+    postings sorted by ``(key, id)`` → the upper triangle of every key's
+    id list in one pass (:func:`_group_pairs`, truncated at
+    ``max_bucket``), self-pairs dropped."""
     import polars as pl
 
-    grp = (
-        pl.from_arrow(t)
-        .group_by("key")
-        .agg(pl.col("id").sort().alias("ids"), pl.len().alias("n"))
-        .filter(pl.col("n") >= 2)
-    )
-    _warn_long_lists(grp["n"].to_numpy(), label)
     a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for ids in grp["ids"].to_list():
-        arr = np.asarray(ids, dtype=np.int64)
-        ai, bi = _upper_pairs(arr, max_bucket=max_bucket, label=label)
-        x, y = arr[ai], arr[bi]
-        keep = x != y
-        a.append(x[keep])
-        b.append(y[keep])
+    if t.num_rows:
+        df = pl.from_arrow(t.select(["key", "id"])).sort(["key", "id"])
+        ids = df["id"].to_numpy()
+        for i, j in _group_pairs(
+            df["key"].to_numpy(), max_bucket=max_bucket, label=label
+        ):
+            x, y = ids[i], ids[j]
+            keep = x != y
+            a.append(x[keep])
+            b.append(y[keep])
     return pa.table(
         {
             cols[0]: pa.array(np.concatenate(a), _I64),
@@ -307,7 +317,7 @@ def shingle_docs(docs: ray.data.Dataset, *, k: int = 3) -> ray.data.Dataset:
 
 
 def _band_keys(
-    sigs: np.ndarray, doc_ids: list[int], rows_per_band: int
+    sigs: np.ndarray, doc_ids: np.ndarray, rows_per_band: int
 ) -> pa.Table:
     """Band signatures → int64 ``(key, id)`` band postings, fully
     vectorized.
@@ -346,13 +356,13 @@ def _minhash_postings(
     signature and pile into one quadratic bucket."""
 
     def _bands(t: pa.Table) -> pa.Table:
-        sh = t["shingles"].to_pylist()
-        ids = t["doc_id"].to_pylist()
-        keep = [i for i, s in enumerate(sh) if s]
-        sigs = textstats.minhash_signatures(
-            [sh[i] for i in keep], num_perm=num_perm, seed=seed
+        hs, offs = textstats.shingle_hashes_arrow(t["shingles"])
+        keep = np.flatnonzero(np.diff(offs))
+        sigs = textstats.minhash_from_hashes(
+            hs, offs, num_perm=num_perm, seed=seed
         )
-        return _band_keys(sigs, [ids[i] for i in keep], rows_per_band)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        return _band_keys(sigs[keep], ids[keep], rows_per_band)
 
     return shingled.map_batches(_bands, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -544,14 +554,11 @@ def _pair_intersection_counts(
     ``join_auto`` — never a driver collect at catalog scale."""
 
     def _postings(t: pa.Table) -> pa.Table:
-        hs = [textstats.shingle_hashes(s) for s in t["shingles"].to_pylist()]
-        keys = (
-            np.concatenate(hs) if hs else np.empty(0, dtype=np.uint64)
-        ).view(np.int64)
-        ids = np.repeat(
-            t["doc_id"].to_numpy(zero_copy_only=False), [len(h) for h in hs]
+        hs, offs = textstats.shingle_hashes_arrow(t["shingles"])
+        ids = np.repeat(t["doc_id"].to_numpy(zero_copy_only=False), np.diff(offs))
+        return pa.table(
+            {"key": pa.array(hs.view(np.int64), _I64), "id": pa.array(ids, _I64)}
         )
-        return pa.table({"key": pa.array(keys, _I64), "id": pa.array(ids, _I64)})
 
     counts = _co_posting_pairs(
         shingled.map_batches(_postings, batch_format="pyarrow", zero_copy_batch=True),
@@ -756,15 +763,17 @@ def simhash_near_pairs(
     """Near-dup (doc_a, doc_b, hamming) pairs with hamming ≤ max_hamming.
 
     Blocking: 4 × 16-bit bands — any pair within hamming ≤ 3 matches on at
-    least one band (pigeonhole), so candidate generation is exact; each
-    band-equal bucket is a groupby, pairs verified by true popcount.
+    least one band (pigeonhole), so candidate generation is exact. Each
+    reducer sorts its distinct ``(band_key, doc_id, simhash)`` rows and
+    pairs every band-equal list in one pass (:func:`_group_pairs`); the
+    pairs are verified by true popcount.
     """
     fp = simhash_fingerprints(docs)
 
     def _bands(t: pa.Table) -> pa.Table:
         # int64 band keys (band_idx << 16 | 16-bit slice), fully vectorized
-        sim = np.array(t["simhash"].to_pylist(), dtype=np.int64).view(np.uint64)
-        ids = np.asarray(t["doc_id"].to_pylist(), dtype=np.int64)
+        sim = t["simhash"].to_numpy(zero_copy_only=False).view(np.uint64)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         keys = np.concatenate(
             [
                 (
@@ -791,39 +800,29 @@ def simhash_near_pairs(
     def _pairs_bucket(t: pa.Table) -> pa.Table:
         import polars as pl
 
-        grp = (
-            pl.from_arrow(t)
-            .unique()
-            .group_by("band_key")
-            .agg(
-                pl.struct(["doc_id", "simhash"]).sort().alias("rows"),
-                pl.len().alias("n"),
+        a, b, hd = ([np.empty(0, np.int64)] for _ in range(3))
+        if t.num_rows:
+            df = (
+                pl.from_arrow(t.select(["band_key", "doc_id", "simhash"]))
+                .unique()
+                .sort(["band_key", "doc_id", "simhash"])
             )
-            .filter(pl.col("n") >= 2)
-        )
-        _warn_long_lists(grp["n"].to_numpy(), "simhash")
-        a, b, hd = [], [], []
-        for rows in grp["rows"].to_list():
-            ids = np.array([r["doc_id"] for r in rows], dtype=np.int64)
-            sims = np.array([r["simhash"] for r in rows], dtype=np.int64).view(
-                np.uint64
-            )
-            ai, bi = _upper_pairs(ids, max_bucket=max_bucket, label="simhash")
-            if not len(ai):
-                continue
-            h = textstats.hamming64(sims[ai], sims[bi])
-            keep = (h <= max_hamming) & (ids[ai] != ids[bi])
-            a.append(ids[ai][keep])
-            b.append(ids[bi][keep])
-            hd.append(h[keep].astype(np.int64))
-        a = np.concatenate(a) if a else np.empty(0, dtype=np.int64)
-        b = np.concatenate(b) if b else np.empty(0, dtype=np.int64)
-        hd = np.concatenate(hd) if hd else np.empty(0, dtype=np.int64)
+            ids = df["doc_id"].to_numpy()
+            sims = df["simhash"].to_numpy().view(np.uint64)
+            for i, j in _group_pairs(
+                df["band_key"].to_numpy(), max_bucket=max_bucket,
+                label="simhash",
+            ):
+                h = textstats.hamming64(sims[i], sims[j])
+                keep = (h <= max_hamming) & (ids[i] != ids[j])
+                a.append(ids[i][keep])
+                b.append(ids[j][keep])
+                hd.append(h[keep].astype(np.int64))
         return pa.table(
             {
-                "doc_a": pa.array(a, pa.int64()),
-                "doc_b": pa.array(b, pa.int64()),
-                "hamming": pa.array(hd, pa.int64()),
+                "doc_a": pa.array(np.concatenate(a), pa.int64()),
+                "doc_b": pa.array(np.concatenate(b), pa.int64()),
+                "hamming": pa.array(np.concatenate(hd), pa.int64()),
             }
         )
 

@@ -243,24 +243,86 @@ def test_shingle_set_join_path_equals_broadcast_path(ray_session, monkeypatch):
     assert (1, 0, 18, 18) in con
 
 
-def test_upper_pairs_chunked_branch_and_truncation(caplog):
-    """Buckets over 4,096 ids take the chunked pair generator, which must
-    give exactly np.triu_indices; max_bucket keeps the first ids, logged."""
+def _pairs(keys, max_bucket=None):
+    out = list(dedup._group_pairs(keys, max_bucket=max_bucket, label="t"))
+    if not out:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def test_group_pairs_sliced_lists_and_truncation(caplog):
+    """Lists whose triangle crosses the ~8M-pair slice bound must give
+    exactly np.triu_indices (offset by the list's start); max_bucket
+    keeps the first ids, logged."""
     for n in (4097, 5000):
-        ids = np.arange(n, dtype=np.int64) * 3
-        a, b = dedup._upper_pairs(ids, max_bucket=None, label="t")
+        keys = np.r_[np.zeros(3, np.int64), np.ones(n, np.int64)]
+        a, b = _pairs(keys)
         ta, tb = np.triu_indices(n, k=1)
         assert a.dtype == b.dtype == np.int64
-        np.testing.assert_array_equal(a, ta)
-        np.testing.assert_array_equal(b, tb)
+        np.testing.assert_array_equal(a, np.r_[[0, 0, 1], ta + 3])
+        np.testing.assert_array_equal(b, np.r_[[1, 2, 2], tb + 3])
     with caplog.at_level("WARNING", logger=dedup.log.name):
-        a, b = dedup._upper_pairs(np.arange(5000), max_bucket=4500, label="t")
+        a, b = _pairs(np.zeros(5000, np.int64), max_bucket=4500)
     ta, tb = np.triu_indices(4500, k=1)
     np.testing.assert_array_equal(a, ta)
     np.testing.assert_array_equal(b, tb)
     assert "truncating bucket 5000 -> 4500 ids (max_bucket)" in caplog.text
-    a, b = dedup._upper_pairs(np.arange(10), max_bucket=4, label="t")
+    a, b = _pairs(np.zeros(10, np.int64), max_bucket=4)
     assert set(zip(a, b)) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
+
+
+def _all_pairs_reference(keys, ids, max_bucket):
+    """Pure-Python blocking: every key's sorted id list (first
+    ``max_bucket`` ids), all i < j position pairs, self-pairs dropped."""
+    lists = {}
+    for k, i in zip(keys, ids):
+        lists.setdefault(k, []).append(i)
+    out = []
+    for ids_k in lists.values():
+        ids_k = sorted(ids_k)[:max_bucket]
+        out += [
+            (x, y)
+            for p, x in enumerate(ids_k)
+            for y in ids_k[p + 1:]
+            if x != y
+        ]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("max_bucket", [None, 2, 3])
+def test_posting_list_pairs_match_all_pairs_reference(max_bucket):
+    """The loop-free pair generator equals an all-pairs reference on
+    random (key, id) multisets with duplicate ids (a duplicate pairs once
+    per posting), the empty table included."""
+    rng = np.random.default_rng(max_bucket or 0)
+    for trial in range(200):
+        n = 0 if trial == 0 else int(rng.integers(1, 60))
+        keys = rng.integers(-3, 8, n).tolist()
+        ids = rng.integers(0, 10, n).tolist()
+        t = pa.table(
+            {"key": pa.array(keys, pa.int64()), "id": pa.array(ids, pa.int64())}
+        )
+        out = dedup._posting_list_pairs(
+            t, cols=("a", "b"), max_bucket=max_bucket, label="t"
+        )
+        got = sorted(zip(out["a"].to_pylist(), out["b"].to_pylist()))
+        assert got == _all_pairs_reference(keys, ids, max_bucket)
+
+
+def test_posting_list_pairs_across_slices():
+    """A list big enough to cross the slice bound next to small lists:
+    every pair still comes out once."""
+    n = 4200
+    keys = np.r_[np.full(n, 5), [1, 1, 9, 9, 9]]
+    ids = np.r_[np.arange(n)[::-1] * 2, [7, 7, 3, 1, 2]]
+    t = pa.table({"key": pa.array(keys, pa.int64()), "id": pa.array(ids, pa.int64())})
+    out = dedup._posting_list_pairs(t, cols=("a", "b"), max_bucket=None, label="t")
+    ta, tb = np.triu_indices(n, k=1)
+    code = lambda a, b: np.sort(np.asarray(a) * 100_000 + np.asarray(b))
+    np.testing.assert_array_equal(
+        code(out["a"], out["b"]),
+        code(np.r_[ta * 2, 1, 1, 2], np.r_[tb * 2, 2, 3, 3]),
+    )
 
 
 def test_posting_list_pairs_one_warning_per_call(caplog):
@@ -282,6 +344,46 @@ def test_posting_list_pairs_one_warning_per_call(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "t: 3 posting lists over 200 ids, largest 300 (quadratic pair-gen)"
     ]
+
+
+def _shingle_columns():
+    rows = [
+        ["a b c", "b c d"],
+        [],
+        None,
+        ["é ü ñ", "日本 語 テキスト", "x"],
+        ["q r s"] * 3,
+        [""],
+        [],
+    ]
+    arr = pa.array(rows, pa.list_(pa.string()))
+    return [
+        arr,
+        arr.slice(1, 5),
+        arr.slice(3),
+        pa.chunked_array([arr.slice(0, 2), arr.slice(2, 0), arr.slice(2)]),
+        pa.chunked_array([], pa.list_(pa.string())),
+        pa.array(rows, pa.list_(pa.large_string())).slice(2),
+        pa.array([None, None], pa.list_(pa.string())),
+    ]
+
+
+@pytest.mark.parametrize("col", _shingle_columns())
+def test_shingle_hashes_arrow_equals_python_path(col):
+    """The Arrow-buffer hasher and the signatures over its output equal
+    shingle_hashes / minhash_signatures on the same rows: chunked,
+    sliced, empty-list, null-list and non-ASCII columns."""
+    lists = [r or [] for r in col.to_pylist()]
+    hs, offs = textstats.shingle_hashes_arrow(col)
+    assert hs.dtype == np.uint64 and offs.dtype == np.int64
+    np.testing.assert_array_equal(np.diff(offs), [len(r) for r in lists])
+    np.testing.assert_array_equal(
+        hs, textstats.shingle_hashes([s for r in lists for s in r])
+    )
+    got = textstats.minhash_from_hashes(hs, offs, num_perm=32, seed=3)
+    want = textstats.minhash_signatures(lists, num_perm=32, seed=3)
+    assert got.shape == want.shape == (len(lists), 32)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_simhash_dedup_and_near(ray_session):

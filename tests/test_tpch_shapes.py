@@ -128,6 +128,52 @@ def test_fk_audit_counts_orphans(ray_session, tmp_path):
     }
 
 
+def test_sample_weighted_priority_equals_duckdb_pow():
+    """The sample's priority column equals the oracle's DuckDB
+    ``pow(u, 1.0 / greatest(w, 1))`` bit for bit, on random docs where
+    numpy's vectorized ``**`` would differ from it by an ulp."""
+    import numpy as np
+    import pyarrow as pa
+
+    from joint_entity_and_relation_extraction_ray.pipelines.corpus_ops import (
+        _sample_priority,
+    )
+    from joint_entity_and_relation_extraction_ray.schema import md5_60
+
+    rng = np.random.default_rng(5)
+    n = 20_000
+    chars = rng.integers(0, 20_000, n).tolist()
+    t = pa.table(
+        {
+            "doc_id": pa.array(rng.choice(10**9, n, replace=False), pa.int64()),
+            "n_chars": pa.array(
+                [None if i % 997 == 0 else c for i, c in enumerate(chars)],
+                pa.int64(),
+            ),
+        }
+    )
+    got = _sample_priority(t).sort_by("doc_id")
+    want = duckdb.connect().execute(
+        """
+        SELECT doc_id, pow(
+            (('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 15))
+                 ::BIGINT + 1) / 1152921504606846977.0,
+            1.0 / greatest(n_chars, 1)) AS prio
+        FROM t ORDER BY doc_id
+        """
+    ).arrow()
+    assert got["doc_id"].to_pylist() == want["doc_id"].to_pylist()
+    duck = want["prio"].to_numpy()
+    np.testing.assert_array_equal(got["prio"].to_numpy(), duck)
+    # the inputs include the pairs numpy's ** gets wrong
+    u = (md5_60(got["doc_id"]) + 1).astype(np.float64) / float((1 << 60) + 1)
+    w = np.maximum(np.nan_to_num(
+        got["weight"].to_numpy(zero_copy_only=False).astype(np.float64),
+        nan=1.0,
+    ), 1.0)
+    assert (u ** (1.0 / w) != duck).sum() > 1_000
+
+
 def test_sample_weighted_prefers_heavy_docs(ray_session):
     """Weighted-by-n_chars sampling must overrepresent long docs: the
     sample's mean weight exceeds the corpus mean."""
